@@ -185,6 +185,96 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
     return sign * prev, last_change + tail + _EPS * abs(prev)
 
 
+def _k_fused(nu: float, x: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """K_{i nu}(x) and K'_{i nu}(x) from one pass over the I_{i nu} series.
+
+    Returns ((K, error), (K', error)), bitwise equal to _k_series at
+    deriv 0 and 1.  For real x, I_{-i nu}(x) = conj I_{i nu}(x), and the
+    two series come out as exact conjugates in binary64, so the
+    combination reduces to K = -pi Im I_{i nu} / sinh(pi nu) and its error
+    to (pi / sinh(pi nu)) (err + eps |I|).  The K' series shares every
+    term, times m/x; each of the two sums keeps its own stopping rule.
+    """
+    mu = complex(0.0, nu)
+    half = 0.5 * x
+    prefactor = cmath.exp(mu * math.log(half))
+    h2 = half * half
+    c = reciprocal_gamma(1.0 + mu)
+    powxk = 1.0
+    total0 = total1 = 0.0j
+    last0 = last1 = max0 = max1 = 0.0
+    run0 = run1 = 0  # a sum is finished once its run of small terms reaches 3
+    for k in range(_SERIES_CAP):
+        term = c * powxk
+        if run0 < 3:
+            total0 += term
+            last0 = abs(term)
+            if last0 > max0:
+                max0 = last0
+            ref = abs(total0)  # the stopping rule of _i_series, max() inlined
+            if last0 < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
+                run0 += 1
+            else:
+                run0 = 0
+        if run1 < 3:
+            term1 = term * ((2.0 * k + mu) / x)
+            total1 += term1
+            last1 = abs(term1)
+            if last1 > max1:
+                max1 = last1
+            ref = abs(total1)
+            if last1 < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
+                run1 += 1
+            else:
+                run1 = 0
+        if run1 >= 3 and run0 >= 3:
+            break
+        kk = k + 1
+        c = c / (kk * (kk + mu))
+        powxk *= h2
+    s = math.sinh(math.pi * nu)
+    scale = math.pi / s
+    mag = abs(prefactor)
+    i0 = prefactor * total0
+    i1 = prefactor * total1
+    # 0 - pi Im I, the real part of (pi/2i)(conj I - I): Im I = 0 gives +0.0
+    k0 = (0.0 - math.pi * i0.imag) / s
+    k1 = (0.0 - math.pi * i1.imag) / s
+    err0 = scale * (mag * (last0 + _EPS * max0) + _EPS * abs(i0))
+    err1 = scale * (mag * (last1 + _EPS * max1) + _EPS * abs(i1))
+    return (k0, err0), (k1, err1)
+
+
+def _k_eval(
+    nu: float, x: float, method: str = "auto", orders: tuple[int, ...] = (0, 1)
+) -> tuple[list[tuple[float, float]], Method]:
+    """Validate (nu, x), choose the path once, and evaluate K and derivatives.
+
+    Returns [(value, error) for each derivative order in `orders`] and
+    the method tag.  The series path is the I-combination for
+    x <= X_SWITCH (K and K' from one fused pass); the integral
+    representation serves x > X_SWITCH and always nu = 0, where the
+    combination is a 0/0 form.
+    """
+    nu = abs(_check_order(nu))  # K_{i nu} = K_{-i nu} structurally
+    x = _check_abscissa(x)
+    if method == "series" and nu == 0.0:
+        raise DomainError("nu = 0 is a 0/0 form on the series-combination path")
+    if method == "series" and x > X_SERIES_MAX:
+        raise RangeError(f"series path supports x <= {X_SERIES_MAX:g}")
+    if method == "series" or (method == "auto" and x <= X_SWITCH and nu != 0.0):
+        fused = _k_fused(nu, x)
+        values = [fused[d] if d < 2 else _k_series(nu, x, d)[:2] for d in orders]
+        return values, "series-combination"
+    return [_k_integral(nu, x, d) for d in orders], "integral-representation"
+
+
+def _k_and_dk(nu: float, x: float) -> tuple[float, float]:
+    """(K_{i nu}(x), K'_{i nu}(x)) on the automatic path, values only."""
+    ((k, _), (dk, _)), _method = _k_eval(nu, x)
+    return k, dk
+
+
 def besselk_imag(
     nu: float,
     x: float,
@@ -196,18 +286,8 @@ def besselk_imag(
     representation beyond (and always for nu = 0, where the combination
     is a 0/0 form).
     """
-    nu = abs(_check_order(nu))  # K_{i nu} = K_{-i nu} structurally
-    x = _check_abscissa(x)
-    if method == "series" and nu == 0.0:
-        raise DomainError("nu = 0 is a 0/0 form on the series-combination path")
-    if method == "series" and x > X_SERIES_MAX:
-        raise RangeError(f"series path supports x <= {X_SERIES_MAX:g}")
-    use_series = method == "series" or (method == "auto" and x <= X_SWITCH and nu != 0.0)
-    if use_series:
-        value, err, _residue = _k_series(nu, x)
-        return FunctionValue(value=value, abs_err_estimate=err, method="series-combination")
-    value, err = _k_integral(nu, x)
-    return FunctionValue(value=value, abs_err_estimate=err, method="integral-representation")
+    ((value, err),), tag = _k_eval(nu, x, method, orders=(0,))
+    return FunctionValue(value=value, abs_err_estimate=err, method=tag)
 
 
 def besselk_dx(
@@ -216,16 +296,8 @@ def besselk_dx(
     method: Literal["auto", "series", "integral"] = "auto",
 ) -> FunctionValue:
     """dK_{i nu}(x)/dx by termwise differentiation of the active representation."""
-    nu = abs(_check_order(nu))
-    x = _check_abscissa(x)
-    if method == "series" and nu == 0.0:
-        raise DomainError("nu = 0 is a 0/0 form on the series-combination path")
-    use_series = method == "series" or (method == "auto" and x <= X_SWITCH and nu != 0.0)
-    if use_series:
-        value, err, _residue = _k_series(nu, x, deriv=1)
-        return FunctionValue(value=value, abs_err_estimate=err, method="series-combination")
-    value, err = _k_integral(nu, x, deriv=1)
-    return FunctionValue(value=value, abs_err_estimate=err, method="integral-representation")
+    ((value, err),), tag = _k_eval(nu, x, method, orders=(1,))
+    return FunctionValue(value=value, abs_err_estimate=err, method=tag)
 
 
 def combination_imag_residue(nu: float, x: float) -> float:
@@ -299,13 +371,6 @@ def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:
         f2, _ = _i_series(nu_s, x, 2)
         resid = x * f2 + f1 + weight * f0
         return abs(resid) / (norm * abs(f0))
-    if x <= X_SWITCH and nu_s != 0.0:
-        k0, _, _ = _k_series(nu_s, x, 0)
-        k1, _, _ = _k_series(nu_s, x, 1)
-        k2, _, _ = _k_series(nu_s, x, 2)
-    else:
-        k0, _ = _k_integral(nu_s, x, 0)
-        k1, _ = _k_integral(nu_s, x, 1)
-        k2, _ = _k_integral(nu_s, x, 2)
+    (k0, _), (k1, _), (k2, _) = _k_eval(nu_s, x, orders=(0, 1, 2))[0]
     resid = x * k2 + k1 + weight * k0
     return abs(resid) / (norm * abs(k0))

@@ -49,6 +49,15 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
 
 
+def _ratio_band(text: str) -> list[float]:
+    band = _float_list(text)
+    if not (len(band) == 2 and all(map(math.isfinite, band)) and 0.0 < band[0] <= band[1]):
+        raise argparse.ArgumentTypeError(
+            f"bad ratio band {text!r}; expected two finite values lo,hi with 0 < lo <= hi"
+        )
+    return band
+
+
 def _parse_phi(text: str) -> TestFunctionSpec:
     kinds = {"gaussian": "gaussian-bump", "compact": "smooth-compact-bump"}
     try:
@@ -336,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=_float_list, required=True)
     p.add_argument(
         "--ratio-band",
-        type=_float_list,
+        type=_ratio_band,
         default=[0.75, 1.25],
         help="accepted band for ratio/expected (default 0.75,1.25)",
     )

@@ -16,7 +16,7 @@ from typing import Callable, Literal, Optional, Sequence
 import numpy as np
 from scipy import integrate
 
-from .bessel_im import besselk_dx, besselk_imag
+from .bessel_im import _k_and_dk, besselk_imag
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
 from .gamma_core import arg_gamma_imag
 
@@ -128,8 +128,23 @@ class WeakLimitReport:
     reflected_term_bound: float
 
 
-def _k_and_dk(nu: float, x: float) -> tuple[float, float]:
-    return besselk_imag(nu, x).value, besselk_dx(nu, x).value
+def _check_off_diagonal(nu: float, nup: float) -> None:
+    if abs(nu - nup) < _DIAG_GUARD:
+        raise NearDiagonalError(
+            f"|nu - nu'| = {abs(nu - nup):.3g} < {_DIAG_GUARD:g}; use diagonal_limit"
+        )
+
+
+def _boundary(nu: float, nup: float, xi: float, k1: float, d1: float) -> tuple[float, float]:
+    """(value, error) of the boundary term, given K_{i nu}(xi) = k1 and K'_{i nu}(xi) = d1."""
+    _check_off_diagonal(nu, nup)
+    k2, d2 = _k_and_dk(nup, xi)
+    num = k1 * d2 - k2 * d1
+    den = nu * nu - nup * nup
+    value = -xi * num / den
+    # four evaluations at ~1e-12 relative; the division can amplify
+    err = 1e-11 * (abs(xi * k1 * d2) + abs(xi * k2 * d1)) / abs(den)
+    return value, err
 
 
 def kernel_boundary(pair: PairSpec) -> KernelValue:
@@ -139,17 +154,8 @@ def kernel_boundary(pair: PairSpec) -> KernelValue:
             / (nu^2 - nu'^2)
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
-    if abs(nu - nup) < _DIAG_GUARD:
-        raise NearDiagonalError(
-            f"|nu - nu'| = {abs(nu - nup):.3g} < {_DIAG_GUARD:g}; use diagonal_limit"
-        )
-    k1, d1 = _k_and_dk(nu, xi)
-    k2, d2 = _k_and_dk(nup, xi)
-    num = k1 * d2 - k2 * d1
-    den = nu * nu - nup * nup
-    value = -xi * num / den
-    # four evaluations at ~1e-12 relative; the division can amplify
-    err = 1e-11 * (abs(xi * k1 * d2) + abs(xi * k2 * d1)) / abs(den)
+    _check_off_diagonal(nu, nup)  # refuse before any K is evaluated
+    value, err = _boundary(nu, nup, xi, *_k_and_dk(nu, xi))
     return KernelValue(value=value, method="boundary-term", abs_err_estimate=err)
 
 
@@ -222,25 +228,37 @@ def _asym_prefactor(nu: float, nup: float) -> float:
     )
 
 
+def _check_asymptotic(pair: PairSpec) -> None:
+    if pair.xi > 0.1:
+        raise RangeError("asymptotic kernel restricted to xi <= 0.1")
+    if abs(pair.nu - pair.nu_prime) < _DIAG_GUARD:
+        raise NearDiagonalError("diagonal handled by diagonal_limit")
+
+
+def _sinc_constants(nu: float, nup: float) -> tuple[float, float, float]:
+    """arg Gamma(i nu), arg Gamma(i nu') and the sinc prefactor: fixed per order pair."""
+    return arg_gamma_imag(nu), arg_gamma_imag(nup), _asym_prefactor(nu, nup)
+
+
+def _sinc_form(nu: float, nup: float, xi: float, g1: float, g2: float, pref: float) -> float:
+    lg = math.log(0.5 * xi)
+    term_minus = math.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
+    term_plus = math.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
+    return pref * (term_minus + term_plus)
+
+
 def kernel_asymptotic(pair: PairSpec) -> KernelValue:
     """Finite-cutoff sinc-kernel form valid in the small-xi regime.
 
     prefactor * [ sin(-(nu-nu') ln(xi/2) + argG(nu) - argG(nu')) / (nu-nu')
                 + sin(-(nu+nu') ln(xi/2) + argG(nu) + argG(nu')) / (nu+nu') ]
     """
+    _check_asymptotic(pair)
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
-    if xi > 0.1:
-        raise RangeError("asymptotic kernel restricted to xi <= 0.1")
-    if abs(nu - nup) < _DIAG_GUARD:
-        raise NearDiagonalError("diagonal handled by diagonal_limit")
-    lg = math.log(0.5 * xi)
-    g1 = arg_gamma_imag(nu)
-    g2 = arg_gamma_imag(nup)
-    term_minus = math.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
-    term_plus = math.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
-    value = _asym_prefactor(nu, nup) * (term_minus + term_plus)
+    g1, g2, pref = _sinc_constants(nu, nup)
+    value = _sinc_form(nu, nup, xi, g1, g2, pref)
     # leading corrections inherited from the small-x expansion are O(xi^2)
-    err = _asym_prefactor(nu, nup) * xi * xi * 10.0
+    err = pref * xi * xi * 10.0
     return KernelValue(value=value, method="asymptotic", abs_err_estimate=err)
 
 
@@ -305,10 +323,16 @@ def diagonal_limit(nu: float, xi: float, h: float = 1.0e-4) -> float:
     if not (0.0 < xi <= 2.0):
         raise DomainError("xi must lie in (0, 2]")
 
+    # kernel_boundary's checks on the first pair come before any K is evaluated
+    _check_off_diagonal(nu, PairSpec(nu, nu - h, xi).nu_prime)
+    k1, d1 = _k_and_dk(nu, xi)
+
+    def kernel(nup: float) -> float:
+        PairSpec(nu, nup, xi)  # nu' > 0, as kernel_boundary requires
+        return _boundary(nu, nup, xi, k1, d1)[0]
+
     def even_avg(step: float) -> float:
-        lo = kernel_boundary(PairSpec(nu, nu - step, xi)).value
-        hi = kernel_boundary(PairSpec(nu, nu + step, xi)).value
-        return 0.5 * (lo + hi)
+        return 0.5 * (kernel(nu - step) + kernel(nu + step))
 
     l1 = even_avg(h)
     l2 = even_avg(0.5 * h)
@@ -329,11 +353,12 @@ def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
     if hi <= lo:
         raise DomainError("test function support does not intersect nu' > 0")
     diag = diagonal_limit(nu, xi) if lo < nu < hi else None
+    k1, d1 = _k_and_dk(nu, xi)
 
     def integrand(nup: float) -> float:
         if diag is not None and abs(nup - nu) < _DIAG_WINDOW:
             return diag * phi(nup)
-        return kernel_boundary(PairSpec(nu, nup, xi)).value * phi(nup)
+        return _boundary(nu, nup, xi, k1, d1)[0] * phi(nup)
 
     points = [nu] if lo < nu < hi else None
     value, _err = integrate.quad(
@@ -419,9 +444,14 @@ def asymptotic_envelope(
         n_samples,
     )
     diffs = []
+    sinc = None  # fixed per (nu, nu'); set once the first sample passes its checks
     for s in np.exp(u):
         pair = PairSpec(nu, nu_prime, float(s))
-        diffs.append(kernel_asymptotic(pair).value - kernel_boundary(pair).value)
+        _check_asymptotic(pair)
+        if sinc is None:
+            sinc = _sinc_constants(nu, nu_prime)
+        boundary, _err = _boundary(nu, nu_prime, pair.xi, *_k_and_dk(nu, pair.xi))
+        diffs.append(_sinc_form(nu, nu_prime, pair.xi, *sinc) - boundary)
     y = np.asarray(diffs) / np.exp(2.0 * u)
     cols = []
     for f in (abs(nu - nu_prime), nu + nu_prime):

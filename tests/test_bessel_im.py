@@ -19,6 +19,8 @@ from macdonald import (
     smallx_error_envelope,
 )
 
+from macdonald.bessel_im import _k_fused, _k_series
+
 import oracles
 
 
@@ -116,6 +118,30 @@ class TestBesselK:
     def test_nu_too_large_rejected(self):
         with pytest.raises(DomainError):
             besselk_imag(51.0, 1.0)
+
+
+class TestFusedCore:
+    def test_bitwise_equal_to_two_series_combination(self):
+        # one I_{i nu} series gives K and K' with the bits and error
+        # estimates of the (I_{-i nu} - I_{i nu}) combination at each order
+        for nu in np.geomspace(0.05, 50.0, 25):
+            for x in np.geomspace(1e-6, 2.0, 25):
+                nu, x = float(nu), float(x)
+                (k, k_err), (dk, dk_err) = _k_fused(nu, x)
+                assert (k, k_err) == _k_series(nu, x, 0)[:2], (nu, x)
+                assert (dk, dk_err) == _k_series(nu, x, 1)[:2], (nu, x)
+
+    def test_public_wrappers_share_the_core(self):
+        (k, k_err), (dk, dk_err) = _k_fused(1.3, 0.7)
+        fk, fdk = besselk_imag(1.3, 0.7), besselk_dx(1.3, 0.7)
+        assert (fk.value, fk.abs_err_estimate) == (k, k_err)
+        assert (fdk.value, fdk.abs_err_estimate) == (dk, dk_err)
+        assert fk.method == fdk.method == "series-combination"
+
+    def test_series_refused_beyond_its_range_for_both_orders(self):
+        for f in (besselk_imag, besselk_dx):
+            with pytest.raises(RangeError):
+                f(1.0, 31.0, method="series")
 
 
 class TestBesselKDerivative:

@@ -8,7 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from macdonald.cli import main
+from macdonald import TestFunctionSpec
+from macdonald.cli import build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -105,6 +106,17 @@ class TestDeltaTest:
         reflected = [r for r in doc["rows"] if r["kind"] == "reflected-bound"]
         assert len(reflected) == 1
 
+    def test_compact_phi_parses(self):
+        args = build_parser().parse_args(
+            ["delta-test", "--nu", "1", "--xi", "1e-2", "--phi", "compact:1,0.3"]
+        )
+        assert args.phi == TestFunctionSpec("smooth-compact-bump", 1.0, 0.3)
+
+    def test_unknown_phi_kind_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["delta-test", "--nu", "1", "--xi", "1e-2", "--phi", "bump:1,0.1"])
+        assert exc_info.value.code == 2
+
 
 class TestAsymCheck:
     def test_example_invocation(self, capsys):
@@ -112,6 +124,13 @@ class TestAsymCheck:
             ["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-3,5e-4,2.5e-4"], capsys
         )
         assert code == 0 and doc["pass"] is True
+
+    @pytest.mark.parametrize("band", ["1", "1,2,3", "0,1", "1.25,0.75", "1,inf", "nan,1"])
+    def test_bad_ratio_band_is_usage_error(self, band):
+        argv = ["asym-check", "--nu", "1", "--nu2", "1.3", "--xi", "0.01,0.005"]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--ratio-band", band])
+        assert exc_info.value.code == 2
 
 
 class TestSerialization:

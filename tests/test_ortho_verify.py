@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special as sc
@@ -14,6 +15,8 @@ from macdonald import (
     TestFunctionSpec,
     arg_gamma_imag,
     asymptotic_envelope,
+    besselk_dx,
+    besselk_imag,
     delta_model,
     diagonal_limit,
     kernel_asymptotic,
@@ -24,7 +27,22 @@ from macdonald import (
     weak_limit_test,
 )
 
+from macdonald import bessel_im, ortho_verify
+
 import oracles
+
+
+def wronskian(nu, nup, xi):
+    """The boundary term and its error estimate from the public K and K'."""
+    k1, d1 = besselk_imag(nu, xi).value, besselk_dx(nu, xi).value
+    k2, d2 = besselk_imag(nup, xi).value, besselk_dx(nup, xi).value
+    den = nu * nu - nup * nup
+    value = -xi * (k1 * d2 - k2 * d1) / den
+    err = 1e-11 * (abs(xi * k1 * d2) + abs(xi * k2 * d1)) / abs(den)
+    return value, err
+
+
+REFERENCE_PAIRS = [(1.0, 2.0, 0.1), (0.7, 0.75, 1e-4), (2.3, 1.1, 1.5), (5.0, 3.0, 3.0)]
 
 
 class TestKernelBoundary:
@@ -45,6 +63,34 @@ class TestKernelBoundary:
     def test_near_diagonal_redirected(self):
         with pytest.raises(NearDiagonalError):
             kernel_boundary(PairSpec(1.0, 1.0 + 1e-9, 0.1))
+
+    def test_equals_wronskian_of_public_functions(self):
+        for nu, nup, xi in REFERENCE_PAIRS:
+            kv = kernel_boundary(PairSpec(nu, nup, xi))
+            assert (kv.value, kv.abs_err_estimate) == wronskian(nu, nup, xi)
+
+
+class TestSeriesCount:
+    @pytest.fixture
+    def fused_calls(self, monkeypatch):
+        calls = []
+        fused = bessel_im._k_fused
+        monkeypatch.setattr(bessel_im, "_k_fused", lambda nu, x: calls.append(nu) or fused(nu, x))
+        return calls
+
+    def test_boundary_sums_one_series_per_order(self, fused_calls):
+        kernel_boundary(PairSpec(1.0, 2.0, 0.1))
+        assert fused_calls == [1.0, 2.0]
+
+    def test_smeared_integrand_sums_one_series(self, fused_calls, monkeypatch):
+        nodes = []
+        quad = integrate.quad
+        monkeypatch.setattr(
+            integrate, "quad", lambda f, *a, **kw: quad(lambda v: nodes.append(v) or f(v), *a, **kw)
+        )
+        # nu outside the support of phi: every node goes through the boundary term
+        ortho_verify._smeared_kernel(1.0, 1e-2, TestFunctionSpec("gaussian-bump", 1.5, 0.05))
+        assert fused_calls == [1.0] + nodes
 
 
 class TestKernelQuadrature:
@@ -97,6 +143,20 @@ class TestKernelAsymptotic:
         pair = PairSpec(1.0, 1.5, 1e-4)
         diff = abs(kernel_asymptotic(pair).value - kernel_boundary(pair).value)
         assert diff <= 20.0 * 1e-8  # C * xi^2 with a generous constant
+
+    def test_envelope_equals_per_sample_loop(self):
+        for nu, nup, xi in [(1.0, 1.5, 1e-3), (0.6, 2.2, 3e-2), (2.0, 1.2, 5e-5)]:
+            half_octave = 0.5 * math.log(2.0)
+            u = np.linspace(math.log(xi) - half_octave, math.log(xi) + half_octave, 48)
+            diffs = []
+            for s in np.exp(u):
+                pair = PairSpec(nu, nup, float(s))
+                diffs.append(kernel_asymptotic(pair).value - kernel_boundary(pair).value)
+            y = np.asarray(diffs) / np.exp(2.0 * u)
+            cols = [g(f * u) for f in (abs(nu - nup), nu + nup) for g in (np.cos, np.sin)]
+            coeff, *_ = np.linalg.lstsq(np.vstack(cols).T, y, rcond=None)
+            expected = xi * xi * math.sqrt(float(np.dot(coeff, coeff)))
+            assert asymptotic_envelope(nu, nup, xi) == expected, (nu, nup, xi)
 
     def test_envelope_shrinks_fourfold(self):
         e1 = asymptotic_envelope(1.0, 1.5, 1e-3)
@@ -181,6 +241,14 @@ class TestDiagonalLimit:
         d = diagonal_limit(1.0, 0.3)
         nb = kernel_boundary(PairSpec(1.0, 1.0 + 1e-5, 0.3)).value
         assert nb == pytest.approx(d, abs=1e-4)
+
+    def test_equals_richardson_of_public_wronskian(self):
+        for nu, xi, h in [(1.0, 0.3, 1e-4), (0.4, 1e-6, 1e-4), (3.0, 2.0, 1e-3)]:
+            def even_avg(step):
+                return 0.5 * (wronskian(nu, nu - step, xi)[0] + wronskian(nu, nu + step, xi)[0])
+
+            expected = (4.0 * even_avg(0.5 * h) - even_avg(h)) / 3.0
+            assert diagonal_limit(nu, xi, h) == expected, (nu, xi)
 
     def test_logarithmic_growth(self):
         xi = 1e-8
