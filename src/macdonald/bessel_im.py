@@ -175,7 +175,8 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
         n *= 2
         cur = trap(n)
         change = abs(cur - prev)
-        if change < 1e-13 * abs(cur) + 1e-18 * scale and last_change < math.inf:
+        # <=, not <: once e^{-x} underflows the sums and the bound are all exactly 0
+        if change <= 1e-13 * abs(cur) + 1e-18 * scale and last_change < math.inf:
             prev = cur
             last_change = change
             break

@@ -2,8 +2,9 @@
 
 Subcommands map one-to-one onto library operations and emit
 machine-readable reports (JSON or CSV) on standard output.  Exit codes:
-0 all checks passed, 1 a check failed, 2 usage error.  Numeric fields
-are serialized with 17 significant digits so binary64 values round-trip.
+0 all checks passed, 1 a check failed or a reported number is not
+finite, 2 usage or domain error.  Numeric fields are serialized with 17
+significant digits so binary64 values round-trip.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _emit(command: str, parameters: dict, rows: list[dict], passed: bool, fmt: s
     sys.stdout.write(buf.getvalue())
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[list[dict], bool]:
     rows = []
     for nu in sorted(args.nu):
         for x in sorted(args.x):
@@ -104,20 +105,15 @@ def _cmd_eval(args) -> int:
                     "method": fv.method,
                 }
             )
-    _emit("eval", {"nu": args.nu, "x": args.x}, rows, True, args.format)
-    return EXIT_PASS
+    return rows, True
 
 
-def _cmd_gamma(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-12
+def _cmd_gamma(args) -> tuple[list[dict], bool]:
     rows = []
-    ok = True
     for nu in sorted(args.nu):
         ge = log_gamma(complex(0.0, nu))
         closed = abs_gamma_imag(nu)
         diff = abs(math.exp(ge.log_modulus) - closed) / closed
-        row_ok = diff <= tol
-        ok = ok and row_ok
         rows.append(
             {
                 "nu": nu,
@@ -125,25 +121,20 @@ def _cmd_gamma(args) -> int:
                 "arg_gamma": arg_gamma_imag(nu),
                 "log_modulus": ge.log_modulus,
                 "cross_check_rel_diff": diff,
-                "pass": row_ok,
+                "pass": diff <= args.tol,
             }
         )
-    _emit("gamma", {"nu": args.nu, "tol": tol}, rows, ok, args.format)
-    return EXIT_PASS if ok else EXIT_CHECK_FAILURE
+    return rows, all(row["pass"] for row in rows)
 
 
-def _cmd_identity_check(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-8
+def _cmd_identity_check(args) -> tuple[list[dict], bool]:
     rows = []
-    ok = True
     for xi in sorted(args.xi):
         pair = PairSpec(args.nu, args.nu2, xi)
         b = kernel_boundary(pair)
         q = kernel_quadrature(pair)
         diff = abs(b.value - q.value)
-        allowed = tol + tol * abs(b.value)
-        row_ok = diff <= allowed
-        ok = ok and row_ok
+        allowed = args.tol + args.tol * abs(b.value)
         rows.append(
             {
                 "nu": args.nu,
@@ -153,20 +144,13 @@ def _cmd_identity_check(args) -> int:
                 "quadrature": q.value,
                 "abs_diff": diff,
                 "allowed": allowed,
-                "pass": row_ok,
+                "pass": diff <= allowed,
             }
         )
-    _emit(
-        "identity-check",
-        {"nu": args.nu, "nu2": args.nu2, "xi": args.xi, "tol": tol},
-        rows,
-        ok,
-        args.format,
-    )
-    return EXIT_PASS if ok else EXIT_CHECK_FAILURE
+    return rows, all(row["pass"] for row in rows)
 
 
-def _cmd_ortho_scan(args) -> int:
+def _cmd_ortho_scan(args) -> tuple[list[dict], bool]:
     rows = []
     n = args.n
     for i in range(n):
@@ -178,26 +162,11 @@ def _cmd_ortho_scan(args) -> int:
             value = kernel_boundary(PairSpec(args.nu, nu2, args.xi)).value
             method = "boundary-term"
         rows.append({"nu": args.nu, "nu2": nu2, "xi": args.xi, "value": value, "method": method})
-    _emit(
-        "ortho-scan",
-        {
-            "nu": args.nu,
-            "xi": args.xi,
-            "nu2_min": args.nu2_min,
-            "nu2_max": args.nu2_max,
-            "n": n,
-        },
-        rows,
-        True,
-        args.format,
-    )
-    return EXIT_PASS
+    return rows, True
 
 
-def _cmd_delta_test(args) -> int:
-    slack = args.slack
-    phi = args.phi
-    report = weak_limit_test(args.nu, args.xi, phi)
+def _cmd_delta_test(args) -> tuple[list[dict], bool]:
+    report = weak_limit_test(args.nu, args.xi, args.phi)
     rows = []
     for xi, a, s, e in zip(
         report.xi_sequence, report.a_sequence, report.smeared_values, report.errors
@@ -221,7 +190,7 @@ def _cmd_delta_test(args) -> int:
         for earlier, later in zip(report.errors, report.errors[1:])
         if later > earlier
     ]
-    ok = len(backsteps) <= 1 and all(b < slack for b in backsteps)
+    ok = len(backsteps) <= 1 and all(b < args.slack for b in backsteps)
     rows.append(
         {
             "kind": "reflected-bound",
@@ -234,27 +203,14 @@ def _cmd_delta_test(args) -> int:
             "rel_error": report.reflected_term_bound / abs(report.target),
         }
     )
-    _emit(
-        "delta-test",
-        {
-            "nu": args.nu,
-            "xi": args.xi,
-            "phi": f"{args.phi.kind}:{args.phi.center},{args.phi.width}",
-            "slack": slack,
-        },
-        rows,
-        ok,
-        args.format,
-    )
-    return EXIT_PASS if ok else EXIT_CHECK_FAILURE
+    return rows, ok
 
 
-def _cmd_asym_check(args) -> int:
+def _cmd_asym_check(args) -> tuple[list[dict], bool]:
     lo, hi = args.ratio_band
     xis = sorted(args.xi, reverse=True)
     envs = [asymptotic_envelope(args.nu, args.nu2, xi) for xi in xis]
     rows = []
-    ok = True
     for i, (xi, env) in enumerate(zip(xis, envs)):
         ratio = envs[i - 1] / env if i > 0 else None
         row_ok = True
@@ -263,7 +219,6 @@ def _cmd_asym_check(args) -> int:
             step = xis[i - 1] / xi
             expected = step * step
             row_ok = lo <= ratio / expected <= hi
-        ok = ok and row_ok
         rows.append(
             {
                 "nu": args.nu,
@@ -274,14 +229,7 @@ def _cmd_asym_check(args) -> int:
                 "pass": row_ok,
             }
         )
-    _emit(
-        "asym-check",
-        {"nu": args.nu, "nu2": args.nu2, "xi": args.xi, "ratio_band": list(args.ratio_band)},
-        rows,
-        ok,
-        args.format,
-    )
-    return EXIT_PASS if ok else EXIT_CHECK_FAILURE
+    return rows, all(row["pass"] for row in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="|Gamma(i nu)| and arg Gamma(i nu) with cross-check")
     p.add_argument("--nu", type=_float_list, required=True)
-    p.add_argument("--tol", type=float, default=None, help="cross-check tolerance (default 1e-12)")
+    p.add_argument("--tol", type=float, default=1e-12, help="cross-check tolerance (default 1e-12)")
     add_common(p)
     p.set_defaults(func=_cmd_gamma)
 
@@ -316,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--nu2", type=float, required=True)
     p.add_argument("--xi", type=_float_list, required=True)
-    p.add_argument("--tol", type=float, default=None, help="agreement tolerance (default 1e-8)")
+    p.add_argument("--tol", type=float, default=1e-8, help="agreement tolerance (default 1e-8)")
     add_common(p)
     p.set_defaults(func=_cmd_identity_check)
 
@@ -356,13 +304,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rows, ok = args.func(args)
     except MacdonaldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "format")}
+    if "phi" in parameters:  # the one parameter that is not a number, a list or a string
+        parameters["phi"] = f"{args.phi.kind}:{args.phi.center},{args.phi.width}"
+    for row in rows:
+        # a report that holds a non-finite number is no pass, whatever its check said
+        if not all(math.isfinite(v) for v in row.values() if isinstance(v, float)):
+            ok = False
+            if "pass" in row:
+                row["pass"] = False
+    _emit(args.command, parameters, rows, ok, args.format)
+    return EXIT_PASS if ok else EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

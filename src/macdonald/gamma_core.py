@@ -25,6 +25,7 @@ __all__ = [
 
 _ABS_Z_MAX = 1.0e4
 _NU_MAX = 100.0
+_TINY = 2.2250738585072014e-308  # smallest normal binary64
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,12 @@ def abs_gamma_imag(nu: float) -> float:
     a = abs(nu)
     if a > _NU_MAX:
         raise DomainError(f"|nu| = {a:g} exceeds supported bound {_NU_MAX:g}")
-    return math.sqrt(math.pi / (a * math.sinh(math.pi * a)))
+    if a < _TINY:
+        raise DomainError(f"|nu| = {a:g} is below the smallest normal float {_TINY:g}")
+    den = a * math.sinh(math.pi * a)
+    if den < _TINY:  # pi nu^2 underflows; sinh(pi nu) = pi nu to binary64 there
+        return 1.0 / a
+    return math.sqrt(math.pi / den)
 
 
 def arg_gamma_imag(nu: float) -> float:
@@ -93,3 +99,14 @@ def arg_gamma_imag(nu: float) -> float:
         raise DomainError(f"|nu| = {abs(nu):g} exceeds supported bound {_NU_MAX:g}")
     phase = log_gamma(complex(0.0, abs(nu))).phase
     return phase if nu > 0 else -phase
+
+
+def _arg_gamma_imag_continuous(nu: float) -> float:
+    """Im log Gamma(i nu) for 0 < nu <= 100: arg Gamma(i nu) continued along nu, not wrapped.
+
+    scipy's loggamma is analytic off the negative real axis, so its
+    imaginary part is continuous along the positive imaginary axis.
+    """
+    if nu > _NU_MAX:
+        raise DomainError(f"|nu| = {nu:g} exceeds supported bound {_NU_MAX:g}")
+    return float(sc.loggamma(complex(0.0, nu)).imag)

@@ -18,7 +18,7 @@ from scipy import integrate
 
 from .bessel_im import _k_and_dk, besselk_imag
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
-from .gamma_core import arg_gamma_imag
+from .gamma_core import _TINY, _arg_gamma_imag_continuous, arg_gamma_imag
 
 __all__ = [
     "PairSpec",
@@ -223,9 +223,10 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
 
 
 def _asym_prefactor(nu: float, nup: float) -> float:
-    return math.pi / (
-        2.0 * math.sqrt(nu * nup * math.sinh(math.pi * nu) * math.sinh(math.pi * nup))
-    )
+    den = 2.0 * math.sqrt(nu * nup * math.sinh(math.pi * nu) * math.sinh(math.pi * nup))
+    if den == 0.0:  # nu nu' sinh(pi nu) sinh(pi nu') underflows for tiny orders
+        raise DomainError(f"sinc-form prefactor not representable at nu = {nu:g}, nu' = {nup:g}")
+    return math.pi / den
 
 
 def _check_asymptotic(pair: PairSpec) -> None:
@@ -263,17 +264,29 @@ def kernel_asymptotic(pair: PairSpec) -> KernelValue:
 
 
 def kl_weight(nu: float) -> float:
-    """Continuum-normalization weight pi^2 / (2 nu sinh(pi nu))."""
-    if nu <= 0.0:
+    """Continuum-normalization weight pi^2 / (2 nu sinh(pi nu)).
+
+    Raises DomainError where the weight is not a normal binary64 number:
+    below nu ~ 1e-154 it overflows, above nu ~ 225 it underflows.
+    """
+    if not nu > 0.0:
         raise DomainError("weight defined for nu > 0")
-    return math.pi * math.pi / (2.0 * nu * math.sinh(math.pi * nu))
+    try:
+        w = math.pi * math.pi / (2.0 * nu * math.sinh(math.pi * nu))
+    except (OverflowError, ZeroDivisionError):  # sinh overflows, or nu sinh(pi nu) underflows
+        w = math.nan
+    if not _TINY <= w < math.inf:
+        raise DomainError(f"weight pi^2/(2 nu sinh(pi nu)) is not representable at nu = {nu:g}")
+    return w
 
 
 def phase_function(nu: float, eta: float) -> float:
     """Phase perturbation f(eta) = arg Gamma(i nu) - arg Gamma(i (nu - eta)).
 
-    Locally unwrapped so that f is continuous along eta with f(0) = 0
-    exactly; principal values alone would break that premise at wraps.
+    Both phases are continued along the positive imaginary axis (not
+    wrapped to the principal branch), so f is continuous along eta with
+    f(0) = 0 exactly; principal values alone would break that premise at
+    wraps.
     """
     if not nu > 0.0:
         raise DomainError("nu must be > 0")
@@ -281,15 +294,7 @@ def phase_function(nu: float, eta: float) -> float:
         raise DomainError(f"|eta| = {abs(eta):g} must stay below nu = {nu:g}")
     if eta == 0.0:
         return 0.0
-    n = max(16, int(math.ceil(8.0 * abs(eta))))
-    prev = arg_gamma_imag(nu)
-    acc = 0.0
-    for j in range(1, n + 1):
-        cur = arg_gamma_imag(nu - eta * j / n)
-        d = math.remainder(cur - prev, 2.0 * math.pi)
-        acc += d
-        prev = cur
-    return -acc
+    return _arg_gamma_imag_continuous(nu) - _arg_gamma_imag_continuous(nu - eta)
 
 
 def delta_model(a: float, eta: float, f: Optional[Callable[[float], float]] = None) -> float:
@@ -409,6 +414,8 @@ def weak_limit_test(
             f"test function has mass fraction {frac:.3g} outside nu' > 0"
         )
     target = kl_weight(nu) * phi(nu)
+    if target == 0.0:
+        raise DomainError(f"test function vanishes at nu = {nu:g}; the weak-limit target is 0")
     smeared = [_smeared_kernel(nu, x, phi) for x in xs]
     errors = [abs(s - target) for s in smeared]
     reflected = _reflected_bound(nu, min(xs), phi)
@@ -438,6 +445,7 @@ def asymptotic_envelope(
     phase happens to sit, so successive halvings of xi shrink it by the
     clean factor 4 instead of an arbitrary sine ratio.
     """
+    PairSpec(nu, nu_prime, xi)  # orders and cutoff are valid before log(xi) is taken
     u = np.linspace(
         math.log(xi) - 0.5 * math.log(2.0),
         math.log(xi) + 0.5 * math.log(2.0),

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from macdonald import TestFunctionSpec
 from macdonald.cli import build_parser, main
@@ -52,6 +57,11 @@ class TestEval:
             main(["eval", "--nu", "1", "--x", "1", "--bogus", "2"])
         assert exc_info.value.code == 2
 
+    def test_infinite_error_estimate_is_no_pass(self, capsys):
+        code, doc = run_cli_json(["eval", "--nu", "1e-310", "--x", "1"], capsys)
+        assert math.isinf(doc["rows"][0]["abs_err_estimate"])
+        assert code == 1 and doc["pass"] is False
+
 
 class TestGamma:
     def test_pass(self, capsys):
@@ -61,6 +71,15 @@ class TestGamma:
     def test_tolerance_override_failure(self, capsys):
         code, doc = run_cli_json(["gamma", "--nu", "1", "--tol", "1e-30"], capsys)
         assert code == 1 and doc["pass"] is False
+
+    def test_default_tolerance_reported(self, capsys):
+        _, doc = run_cli_json(["gamma", "--nu", "1"], capsys)
+        assert doc["parameters"] == {"nu": [1.0], "tol": 1e-12}
+
+    def test_tiny_nu(self, capsys):
+        # nu sinh(pi nu) underflows at nu = 1e-170; |Gamma(i nu)| = 1/nu
+        code, doc = run_cli_json(["gamma", "--nu", "1e-170"], capsys)
+        assert code == 0 and doc["rows"][0]["abs_gamma"] == pytest.approx(1e170, rel=1e-15)
 
 
 class TestIdentityCheck:
@@ -72,6 +91,7 @@ class TestIdentityCheck:
         row = doc["rows"][0]
         assert row["abs_diff"] <= 1e-8
         assert row["pass"] is True
+        assert doc["parameters"]["tol"] == 1e-8
 
 
 class TestOrthoScan:
@@ -112,6 +132,21 @@ class TestDeltaTest:
         )
         assert args.phi == TestFunctionSpec("smooth-compact-bump", 1.0, 0.3)
 
+    def test_phi_reported_as_kind_center_width(self, capsys):
+        _, doc = run_cli_json(
+            ["delta-test", "--nu", "1", "--xi", "1e-2", "--phi", "compact:1,0.3"], capsys
+        )
+        assert doc["parameters"]["phi"] == "smooth-compact-bump:1.0,0.3"
+
+    def test_tiny_nu_is_domain_error(self, capsys):
+        # the weight pi^2/(2 nu sinh pi nu) overflows binary64 at nu = 1e-170
+        code = main(["delta-test", "--nu", "1e-170", "--xi", "1e-2,1e-3", "--phi", "gaussian:1,0.1"])
+        assert code == 2 and "not representable" in capsys.readouterr().err
+
+    def test_vanishing_target_is_domain_error(self, capsys):
+        code = main(["delta-test", "--nu", "2", "--xi", "1e-2,1e-3", "--phi", "compact:1,0.5"])
+        assert code == 2 and "vanishes" in capsys.readouterr().err
+
     def test_unknown_phi_kind_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["delta-test", "--nu", "1", "--xi", "1e-2", "--phi", "bump:1,0.1"])
@@ -124,6 +159,20 @@ class TestAsymCheck:
             ["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-3,5e-4,2.5e-4"], capsys
         )
         assert code == 0 and doc["pass"] is True
+
+    @pytest.mark.parametrize("xi", ["1e-3,0", "1e-3,-1e-3"])
+    def test_non_positive_cutoff_is_domain_error(self, xi, capsys):
+        code = main(["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", xi])
+        assert code == 2 and "cutoff xi" in capsys.readouterr().err
+
+    def test_non_finite_envelope_is_no_pass(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+            code, out = run_cli(["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-150"], capsys)
+        doc = json.loads(out)
+        assert math.isinf(doc["rows"][0]["envelope"])
+        assert doc["rows"][0]["pass"] is False
+        assert code == 1 and doc["pass"] is False
 
     @pytest.mark.parametrize("band", ["1", "1,2,3", "0,1", "1.25,0.75", "1,inf", "nan,1"])
     def test_bad_ratio_band_is_usage_error(self, band):
@@ -154,3 +203,58 @@ class TestSerialization:
         a = subprocess.run(cmd, capture_output=True, check=True).stdout
         b = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert a == b
+
+
+# Exit-code contract: whatever argv holds, main returns 0, 1 or 2, or
+# argparse exits with 2; any other exception is a traceback and fails.
+_EDGES = [0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]
+_TYPICAL = [1e-4, 1e-3, 1e-2, 0.2, 1.0, 1.5]  # reach the checks, not only the refusals
+_NUMBERS = st.one_of(st.sampled_from(_EDGES), st.sampled_from(_TYPICAL), st.floats(1e-4, 3.0))
+_NUMBER = _NUMBERS.map(repr)
+_LIST = st.lists(_NUMBERS, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
+_CUTOFFS = st.one_of(_LIST, st.sampled_from(["1e-2", "1e-2,1e-3", "4e-3,2e-3,1e-3"]))
+
+
+def _opt(name, values, required=True):
+    flag = values.map(lambda v: [f"--{name}={v}"])  # "=" lets "-inf" through as a value
+    return flag if required else st.one_of(st.just([]), flag)
+
+
+def _argv(command, *options):
+    return st.tuples(st.sampled_from(["json", "csv"]), *options).map(
+        lambda t: [command, "--format", t[0]] + [a for opt in t[1:] for a in opt]
+    )
+
+
+_PHI = st.one_of(
+    st.just("gaussian:1,0.2"),
+    st.tuples(st.sampled_from(["gaussian", "compact"]), _NUMBER, _NUMBER).map(
+        lambda t: f"{t[0]}:{t[1]},{t[2]}"
+    ),
+)
+_ARGVS = st.one_of(
+    _argv("eval", _opt("nu", _LIST), _opt("x", _LIST)),
+    _argv("gamma", _opt("nu", _LIST), _opt("tol", _NUMBER, False)),
+    _argv("identity-check", _opt("nu", _NUMBER), _opt("nu2", _NUMBER), _opt("xi", _LIST),
+          _opt("tol", _NUMBER, False)),
+    _argv("ortho-scan", _opt("nu", _NUMBER), _opt("xi", _NUMBER), _opt("nu2-min", _NUMBER),
+          _opt("nu2-max", _NUMBER), _opt("n", st.integers(-1, 4))),
+    _argv("delta-test", _opt("nu", _NUMBER), _opt("xi", _CUTOFFS), _opt("phi", _PHI),
+          _opt("slack", _NUMBER, False)),
+    _argv("asym-check", _opt("nu", _NUMBER), _opt("nu2", _NUMBER), _opt("xi", _CUTOFFS),
+          _opt("ratio-band", st.tuples(_NUMBER, _NUMBER).map(",".join), False)),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_ARGVS)
+def test_exit_code_contract(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy and quad warnings are not part of the contract
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+    assert code in (0, 1, 2), argv

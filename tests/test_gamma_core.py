@@ -132,6 +132,22 @@ class TestImaginaryAxisClosedForms:
         with pytest.raises(DomainError):
             abs_gamma_imag(nu)
 
+    @pytest.mark.parametrize("nu", [1e-170, 1e-300, -1e-200, 8e-155, 1e-154, 3e-308])
+    def test_tiny_nu_where_nu_sinh_underflows(self, nu):
+        # nu sinh(pi nu) = pi nu^2 underflows below ~1e-154; |Gamma(i nu)| = 1/|nu| there
+        assert abs_gamma_imag(nu) == pytest.approx(1.0 / abs(nu), rel=1e-15)
+
+    def test_tiny_nu_matches_log_gamma(self):
+        # exp of log|Gamma| ~ 391 carries ~391 ulp of relative rounding
+        assert abs_gamma_imag(1e-170) == pytest.approx(
+            math.exp(log_gamma(1e-170j).log_modulus), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("nu", [1e-310, 5e-324, math.nan, math.inf])
+    def test_subnormal_and_non_finite_nu_rejected(self, nu):
+        with pytest.raises(DomainError):
+            abs_gamma_imag(nu)
+
     def test_reflection_consistency(self):
         # |1/Gamma(i nu)| * |Gamma(i nu)| == 1
         for nu in np.geomspace(0.1, 20, 25):

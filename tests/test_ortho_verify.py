@@ -167,6 +167,16 @@ class TestKernelAsymptotic:
         with pytest.raises(RangeError):
             kernel_asymptotic(PairSpec(1.0, 1.5, 0.2))
 
+    @pytest.mark.parametrize("xi", [0.0, -1e-3, math.nan, math.inf])
+    def test_envelope_rejects_bad_cutoff(self, xi):
+        with pytest.raises(DomainError):
+            asymptotic_envelope(1.0, 1.5, xi)
+
+    def test_envelope_rejects_tiny_orders(self):
+        # nu nu' sinh(pi nu) sinh(pi nu') underflows in the sinc prefactor
+        with pytest.raises(DomainError):
+            asymptotic_envelope(1e-300, 1.0, 1e-3)
+
 
 class TestPhaseFunction:
     def test_zero_at_origin_exact(self):
@@ -189,6 +199,37 @@ class TestPhaseFunction:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             phase_function(1.0, 1.5)
+
+    def test_closed_form_against_unwrapped_steps(self):
+        # sum of principal-branch steps small enough never to cross a wrap
+        for nu, eta in [(5.0, 4.5), (5.0, -4.9), (30.0, 29.0), (49.9, -45.0)]:
+            n = 4000
+            prev, acc = arg_gamma_imag(nu), 0.0
+            for j in range(1, n + 1):
+                cur = arg_gamma_imag(nu - eta * j / n)
+                acc += math.remainder(cur - prev, 2.0 * math.pi)
+                prev = cur
+            assert phase_function(nu, eta) == pytest.approx(-acc, rel=1e-12), (nu, eta)
+
+    @pytest.mark.parametrize("nu, eta", [(0.0, 0.0), (-1.0, 0.5), (1.0, 1.0), (1.0, -1.0),
+                                         (150.0, 1.0), (99.0, -2.0), (math.nan, 0.0), (1.0, math.nan)])
+    def test_domain_matches_bounds(self, nu, eta):
+        with pytest.raises(DomainError):
+            phase_function(nu, eta)
+
+    def test_eta_zero_needs_no_phase(self):
+        assert phase_function(150.0, 0.0) == 0.0
+
+
+class TestKLWeight:
+    def test_tiny_nu_value(self):
+        # pi^2/(2 nu sinh pi nu) -> pi/(2 nu^2) for nu -> 0
+        assert kl_weight(1e-150) == pytest.approx(math.pi / (2.0 * 1e-300), rel=1e-14)
+
+    @pytest.mark.parametrize("nu", [1e-170, 1e-155, 300.0, math.inf, math.nan, 0.0, -1.0])
+    def test_unrepresentable_or_invalid_rejected(self, nu):
+        with pytest.raises(DomainError):
+            kl_weight(nu)
 
 
 class TestDeltaModel:
@@ -308,6 +349,11 @@ class TestWeakLimit:
         phi = TestFunctionSpec("gaussian-bump", 1.0, 0.2)
         with pytest.raises(DomainError):
             weak_limit_test(1.0, [1e-4, 1e-2], phi)
+
+    def test_vanishing_target_rejected(self):
+        phi = TestFunctionSpec("smooth-compact-bump", 1.0, 0.5)  # phi(2) = 0
+        with pytest.raises(DomainError):
+            weak_limit_test(2.0, [1e-2], phi)
 
     def test_support_mass_guard(self):
         phi = TestFunctionSpec("gaussian-bump", 0.1, 0.25)  # heavy mass below 0
