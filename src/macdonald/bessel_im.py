@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ X_SERIES_MAX = 30.0
 _EPS = 2.2204460492503131e-16
 _SERIES_TINY = 1.0e-18
 _SERIES_CAP = 500
+_CHUNK = 1 << 20  # elements per temporary in _k_values
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,9 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
         c = c / (kk * (kk + mu))
         powxk *= h2
     value = prefactor * total
-    err = abs(prefactor) * (last_term_mag + _EPS * max_mag)
+    # the rounded phase nu ln(x/2) is off by ~2 eps nu |ln(x/2)|, an error of that times |I|
+    phase_err = 2.0 * _EPS * abs(nu_signed) * abs(log_half)
+    err = abs(prefactor) * (last_term_mag + _EPS * max_mag) + phase_err * abs(value)
     return value, err
 
 
@@ -193,12 +196,14 @@ def _k_fused(nu: float, x: float) -> tuple[tuple[float, float], tuple[float, flo
     deriv 0 and 1.  For real x, I_{-i nu}(x) = conj I_{i nu}(x), and the
     two series come out as exact conjugates in binary64, so the
     combination reduces to K = -pi Im I_{i nu} / sinh(pi nu) and its error
-    to (pi / sinh(pi nu)) (err + eps |I|).  The K' series shares every
-    term, times m/x; each of the two sums keeps its own stopping rule.
+    to (pi / sinh(pi nu)) (err + eps |I|), err with _i_series' phase term.
+    The K' series shares every term, times m/x; each of the two sums keeps
+    its own stopping rule.
     """
     mu = complex(0.0, nu)
     half = 0.5 * x
-    prefactor = cmath.exp(mu * math.log(half))
+    log_half = math.log(half)
+    prefactor = cmath.exp(mu * log_half)
     h2 = half * half
     c = reciprocal_gamma(1.0 + mu)
     powxk = 1.0
@@ -241,8 +246,9 @@ def _k_fused(nu: float, x: float) -> tuple[tuple[float, float], tuple[float, flo
     # 0 - pi Im I, the real part of (pi/2i)(conj I - I): Im I = 0 gives +0.0
     k0 = (0.0 - math.pi * i0.imag) / s
     k1 = (0.0 - math.pi * i1.imag) / s
-    err0 = scale * (mag * (last0 + _EPS * max0) + _EPS * abs(i0))
-    err1 = scale * (mag * (last1 + _EPS * max1) + _EPS * abs(i1))
+    phase_err = 2.0 * _EPS * nu * abs(log_half)  # as in _i_series, in the same order
+    err0 = scale * (mag * (last0 + _EPS * max0) + phase_err * abs(i0) + _EPS * abs(i0))
+    err1 = scale * (mag * (last1 + _EPS * max1) + phase_err * abs(i1) + _EPS * abs(i1))
     return (k0, err0), (k1, err1)
 
 
@@ -268,6 +274,132 @@ def _k_eval(
         values = [fused[d] if d < 2 else _k_series(nu, x, d)[:2] for d in orders]
         return values, "series-combination"
     return [_k_integral(nu, x, d) for d in orders], "integral-representation"
+
+
+def _series_coefficients(nu: float, h2_max: float) -> np.ndarray:
+    """c_k of I_{i nu}(x) = (x/2)^{i nu} sum_k c_k ((x/2)^2)^k, as many as _k_fused sums at h2_max.
+
+    The K sum of _k_fused stops after three terms below 1e-18 of the
+    partial sum; at a smaller (x/2)^2 every term is smaller, so the same
+    coefficients are enough there.
+    """
+    mu = complex(0.0, nu)
+    c = reciprocal_gamma(1.0 + mu)
+    coeffs = []
+    powxk = 1.0
+    total = 0.0j
+    run = 0
+    for k in range(_SERIES_CAP):
+        coeffs.append(c)
+        term = c * powxk
+        total += term
+        if abs(term) < _SERIES_TINY * max(abs(total), 1e-300):
+            run += 1
+            if run >= 3:
+                break
+        else:
+            run = 0
+        kk = k + 1
+        c = c / (kk * (kk + mu))
+        powxk *= h2_max
+    return np.array(coeffs)
+
+
+def _k_series_values(nu: float, x: np.ndarray) -> np.ndarray:
+    """K_{i nu} at every x <= X_SWITCH: -pi Im I_{i nu} / sinh(pi nu), Horner in (x/2)^2."""
+    half = 0.5 * x
+    if not half.min() > 0.0:  # x = 5e-324: math.log(0.5 x) in _k_fused refuses the same way
+        raise ValueError("math domain error")
+    h2 = half * half
+    coeffs = _series_coefficients(nu, float(h2.max()))
+    poly = np.full(x.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        poly = poly * h2 + c
+    phase = nu * np.log(half)
+    im = np.sin(phase) * poly.real + np.cos(phase) * poly.imag
+    return -math.pi * im / math.sinh(math.pi * nu)
+
+
+def _trapezoid_sums(x: np.ndarray, t: np.ndarray, cos_nt: np.ndarray) -> np.ndarray:
+    """sum_t e^{-x cosh t} cos_nt[t] for every x, chunked in t to at most _CHUNK elements."""
+    out = np.zeros((x.size, cos_nt.shape[1]))
+    step = max(1, _CHUNK // x.size)
+    for i in range(0, t.size, step):
+        e = np.multiply.outer(x, -np.cosh(t[i : i + step]))
+        np.exp(e, out=e)
+        out += e @ cos_nt[i : i + step]
+    return out
+
+
+def _k_integral_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """K_{i nu}(x) for every nu in nus, by _k_integral's trapezoid rule on one grid.
+
+    The grid spans [0, T(min x)], enough for every x, and each doubling
+    evaluates only its new odd nodes.  One e^{-x cosh t} matrix serves
+    every order, and also sums |f| for the rounding floor of the dot
+    product, about 8 eps sqrt(n) h sum|f|: without math.fsum the change
+    between doublings settles there, and _k_integral's rule alone would
+    not hold at nu >~ 5.  A row (one x) stops doubling once every order
+    meets the rule and the floor.
+    """
+    m = len(nus)
+    nu = np.array(nus)
+    T = math.acosh(max(46.0 / float(x.min()), 1.5))
+
+    def cos_columns(t: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        c = np.cos(np.multiply.outer(t, nu)) * weight[:, None]
+        return np.hstack([c, np.abs(c)])
+
+    n = 64
+    t = np.linspace(0.0, T, n + 1)
+    weight = np.ones(n + 1)
+    weight[[0, -1]] = 0.5
+    sums = _trapezoid_sums(x, t, cos_columns(t, weight))  # [sum f | sum |f|], endpoints halved
+    value = (T / n) * sums[:, :m]
+    scale = np.exp(-x)[:, None]
+    rows = np.arange(x.size)
+    for doubling in range(12):
+        n *= 2
+        h = T / n
+        t = h * np.arange(1, n, 2)
+        sums[rows] += _trapezoid_sums(x[rows], t, cos_columns(t, np.ones(t.size)))
+        cur = h * sums[rows, :m]
+        change = np.abs(cur - value[rows])
+        floor = 8.0 * _EPS * math.sqrt(n) * h * sums[rows, m:]
+        bound = 1e-13 * np.abs(cur) + 1e-18 * scale[rows] + floor
+        value[rows] = cur
+        if doubling:  # as in _k_integral, the first change never stops the rule
+            rows = rows[~np.all(change <= bound, axis=1)]
+            if not rows.size:
+                break
+    return value
+
+
+def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """K_{i nu}(x) for every nu in nus at every x, values only: shape (len(x), len(nus)).
+
+    The array form of _k_eval's automatic path, with the same checks and
+    the same switch: series for x <= X_SWITCH and nu != 0, the integral
+    representation elsewhere.  The arithmetic differs from the scalar
+    path (Horner instead of a running sum, a dot product instead of
+    math.fsum), so values agree with it within its error estimate, not
+    bitwise.
+    """
+    orders = [abs(_check_order(float(nu))) for nu in nus]
+    x = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(x) & (x > 0.0))
+    if bad.any():
+        _check_abscissa(float(x[bad][0]))
+    out = np.empty((x.size, len(orders)))
+    series = x <= X_SWITCH
+    integral = ~series if all(orders) else np.ones(x.size, dtype=bool)
+    if integral.any():
+        out[integral] = _k_integral_values(orders, x[integral])
+    if series.any():
+        for j, nu in enumerate(orders):
+            if nu != 0.0:
+                out[series, j] = _k_series_values(nu, x[series])
+    return out
 
 
 def _k_and_dk(nu: float, x: float) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from typing import Callable, Literal, Optional, Sequence
 import numpy as np
 from scipy import integrate
 
-from .bessel_im import _k_and_dk, besselk_imag
+from .bessel_im import _EPS, _k_and_dk, _k_values
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
 from .gamma_core import _TINY, _arg_gamma_imag_continuous, arg_gamma_imag
 
@@ -167,49 +167,110 @@ def _tail_cutoff(abs_tol: float) -> float:
     return u
 
 
+# Gauss-Kronrod G7K15 on [-1, 1], QUADPACK's qk15 (Piessens et al., 1983):
+# Kronrod nodes from -1 to the centre; the Gauss nodes are every second one.
+_XK = np.array([
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144845693013, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+_GK_NODES = np.concatenate([_XK, -_XK[-2::-1]])
+_GK_WEIGHTS = np.stack([np.concatenate([w, w[-2::-1]]) for w in (_WK, _WG)], axis=1)  # K15 | G7
+
+
+def _gauss_kronrod(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    epsabs: float,
+    epsrel: float,
+    limit: int,
+    pieces: int,
+) -> tuple[float, float]:
+    """Adaptive G7K15 of f over (a, b), starting from `pieces` equal panels.
+
+    Each sweep evaluates f once, at the 15 nodes of every pending panel.
+    A panel's error is max(|K15 - G7|, 50 eps r sum w|f|), the second term
+    QUADPACK's roundoff floor.  The sweeps stop once the summed error is
+    within max(epsabs, epsrel |value|); until then each panel within its
+    share of that tolerance (by width) is accepted and the rest are
+    bisected, the worst first, as long as at most `limit` panels result.
+    Returns (value, summed error estimate) as Python floats.
+    """
+    edges = np.linspace(a, b, pieces + 1)
+    lo, hi = edges[:-1], edges[1:]
+    done_value = done_err = 0.0  # panels accepted, or left as they are at the limit
+    done = 0
+    while True:
+        centre, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = f((centre[:, None] + r[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
+        kg = r[:, None] * (fx @ _GK_WEIGHTS)
+        floor = 50.0 * _EPS * r * (np.abs(fx) @ _GK_WEIGHTS[:, 0])
+        err = np.maximum(np.abs(kg[:, 0] - kg[:, 1]), floor)
+        value = done_value + float(kg[:, 0].sum())
+        total_err = done_err + float(err.sum())
+        tol = max(epsabs, epsrel * abs(value))
+        if total_err <= tol:
+            return value, total_err
+        ok = err <= tol * (hi - lo) / (b - a)
+        worst = np.flatnonzero(~ok)[np.argsort(-err[~ok], kind="stable")]
+        room = max(limit - done - int(ok.sum()) - worst.size, 0)  # bisections that fit
+        keep = ok.copy()
+        keep[worst[room:]] = True
+        done += int(keep.sum())
+        done_value += float(kg[keep, 0].sum())
+        done_err += float(err[keep].sum())
+        split = worst[:room]
+        if not split.size:
+            return done_value, done_err
+        lo = np.concatenate([lo[split], centre[split]])
+        hi = np.concatenate([centre[split], hi[split]])
+
+
 def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -> KernelValue:
     """Adaptive quadrature of int_xi^U K_{i nu} K_{i nu'} / x dx plus tail bound.
 
     On (xi, min(2, U)) the substitution u = ln x turns the logarithmic
-    oscillation of the integrand into a trigonometric-regular one.
+    oscillation of the integrand into a trigonometric-regular one.  Both
+    parts are vectorized Gauss-Kronrod sweeps over array K
+    (bessel_im._k_values), starting from about one panel per half-period
+    of the product's fastest oscillation, (nu + nu') / pi per unit length.
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
     upper = quad.upper if quad.upper is not None else _tail_cutoff(quad.abs_tol)
     if upper <= xi:
         raise DomainError("upper cutoff must exceed xi")
 
-    def integrand_log(u: float) -> float:
-        x = math.exp(u)
-        return besselk_imag(nu, x).value * besselk_imag(nup, x).value
+    def product(x: np.ndarray) -> np.ndarray:
+        k = _k_values((nu, nup), x)
+        return k[:, 0] * k[:, 1]
 
-    def integrand_x(x: float) -> float:
-        return besselk_imag(nu, x).value * besselk_imag(nup, x).value / x
+    def sweep(f, a: float, b: float, limit: int) -> tuple[float, float]:
+        pieces = min(limit, max(1, math.ceil((nu + nup) * (b - a) / math.pi)))
+        return _gauss_kronrod(f, a, b, 0.5 * quad.abs_tol, quad.rel_tol, limit, pieces)
 
     total = 0.0
     err = 0.0
     mid = min(2.0, upper)
     if xi < mid:
-        v1, e1 = integrate.quad(
-            integrand_log,
-            math.log(xi),
-            math.log(mid),
-            epsabs=0.5 * quad.abs_tol,
-            epsrel=quad.rel_tol,
-            limit=400,
-        )
+        v1, e1 = sweep(lambda u: product(np.exp(u)), math.log(xi), math.log(mid), 400)
         total += v1
         err += e1
     else:
         mid = xi
     if upper > mid:
-        v2, e2 = integrate.quad(
-            integrand_x,
-            mid,
-            upper,
-            epsabs=0.5 * quad.abs_tol,
-            epsrel=quad.rel_tol,
-            limit=200,
-        )
+        v2, e2 = sweep(lambda x: product(x) / x, mid, upper, 200)
         total += v2
         err += e2
     tail = (math.pi / (4.0 * upper * upper)) * math.exp(-2.0 * upper)

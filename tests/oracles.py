@@ -22,6 +22,12 @@ def k_integral_ref(nu, x, dps=40):
         return mp.quad(f, [0, T / 4, T / 2, T], maxdegree=12)
 
 
+def k_besselk_ref(nu, x, dps=30):
+    """K_{i nu}(x) from mpmath's besselk at `dps` digits, as a float."""
+    with mp.workdps(dps):
+        return float(mp.besselk(1j * mp.mpf(nu), mp.mpf(x)).real)
+
+
 def i_series_ref(nu, x, terms=60, dps=200):
     """I_{i nu}(x) by direct high-precision summation of the power series."""
     with mp.workdps(dps):

@@ -19,7 +19,7 @@ from macdonald import (
     smallx_error_envelope,
 )
 
-from macdonald.bessel_im import _k_fused, _k_series
+from macdonald.bessel_im import X_SWITCH, _k_fused, _k_series, _k_values
 
 import oracles
 
@@ -142,6 +142,60 @@ class TestFusedCore:
         for f in (besselk_imag, besselk_dx):
             with pytest.raises(RangeError):
                 f(1.0, 31.0, method="series")
+
+
+def in_known_defect(nu, x):
+    """Where the scalar integral path is itself wrong (ROADMAP item 1)."""
+    return (x > 2.0 and nu >= 10.0) or 25.0 <= x <= 40.0
+
+
+class TestArrayCore:
+    def test_matches_scalar_path_within_its_estimate(self):
+        xs = np.geomspace(1e-6, 30.0, 25)
+        assert xs.min() <= X_SWITCH < xs.max()  # both branches
+        for nu in np.geomspace(0.05, 50.0, 12):
+            values = _k_values([nu, 1.0], xs)
+            assert values.shape == (xs.size, 2)
+            for x, v in zip(xs, values[:, 0]):
+                nu, x = float(nu), float(x)
+                if in_known_defect(nu, x):
+                    continue
+                k = besselk_imag(nu, x)
+                bound = max(k.abs_err_estimate, 1e-15 * math.exp(-x))
+                assert abs(v - k.value) <= bound, (nu, x)
+
+    def test_order_zero_and_sign(self):
+        xs = np.array([0.5, 1.0, 3.0])
+        values = _k_values([0.0, -1.3], xs)
+        for j, nu in enumerate((0.0, 1.3)):
+            for x, v in zip(xs, values[:, j]):
+                k = besselk_imag(nu, float(x))
+                assert abs(v - k.value) <= k.abs_err_estimate, (nu, x)
+
+    @pytest.mark.parametrize("nus", [[51.0, 1.0], [1.0, 60.0], [math.nan, 1.0]])
+    def test_order_out_of_range_rejected(self, nus):
+        with pytest.raises(DomainError):
+            _k_values(nus, np.array([1.0]))
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_abscissa_out_of_range_rejected(self, x):
+        with pytest.raises(RangeError):
+            _k_values([1.0], np.array([1.0, x]))
+
+
+class TestSeriesEstimate:
+    def test_error_within_estimate_against_mpmath(self):
+        # 30-digit references at small x, where the phase nu ln(x/2) is
+        # large and its rounding sets the error; without that term in the
+        # estimate 18 of these 60 points were within it
+        rng = np.random.default_rng(20)
+        within = 0
+        for _ in range(60):
+            nu, x = float(rng.uniform(0.5, 2.5)), float(10.0 ** rng.uniform(-6.0, -1.0))
+            k = besselk_imag(nu, x)
+            ref = oracles.k_besselk_ref(nu, x)
+            within += abs(k.value - ref) <= k.abs_err_estimate
+        assert within >= 40
 
 
 class TestBesselKDerivative:

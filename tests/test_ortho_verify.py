@@ -120,6 +120,65 @@ class TestKernelQuadrature:
         assert exc_info.value.estimate is not None
 
 
+def quad_reference(pair, quad=QuadratureSpec()):
+    """kernel_quadrature as scipy quad over scalar K products: the same parts and tolerances."""
+    nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
+    upper = quad.upper if quad.upper is not None else ortho_verify._tail_cutoff(quad.abs_tol)
+    if upper <= xi:
+        raise DomainError("upper cutoff must exceed xi")
+
+    def product(x):
+        return besselk_imag(nu, x).value * besselk_imag(nup, x).value
+
+    total = err = 0.0
+    tol = dict(epsabs=0.5 * quad.abs_tol, epsrel=quad.rel_tol)
+    mid = min(2.0, upper)
+    if xi < mid:
+        f = lambda u: product(math.exp(u))
+        v, e = integrate.quad(f, math.log(xi), math.log(mid), limit=400, **tol)
+        total, err = total + v, err + e
+    else:
+        mid = xi
+    if upper > mid:
+        v, e = integrate.quad(lambda x: product(x) / x, mid, upper, limit=200, **tol)
+        total, err = total + v, err + e
+    err += (math.pi / (4.0 * upper * upper)) * math.exp(-2.0 * upper)
+    if err > 10.0 * (quad.abs_tol + quad.rel_tol * abs(total)):
+        raise ConvergenceError("quadrature error estimate exceeds requested tolerance", estimate=total)
+    return total
+
+
+class TestQuadratureRegression:
+    def test_matches_scalar_quad_reference(self):
+        # the kernel_pairs benchmark's distribution of (nu, nu', xi)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            nu = math.exp(rng.uniform(math.log(0.2), math.log(10.0)))
+            nup = nu * 2.0 ** rng.uniform(-1.0, 1.0)
+            pair = PairSpec(nu, nup, math.exp(rng.uniform(math.log(1e-6), math.log(2.0))))
+            kv = kernel_quadrature(pair)
+            assert abs(kv.value - quad_reference(pair)) <= 1e-12, pair
+
+    def test_returns_python_floats(self):
+        # np.float64 would carry np.bool_ comparisons into the CLI's JSON
+        kv = kernel_quadrature(PairSpec(1.0, 2.0, 0.1))
+        assert type(kv.value) is float and type(kv.abs_err_estimate) is float
+
+    @pytest.mark.parametrize(
+        "pair, spec",
+        [
+            (PairSpec(60.0, 1.0, 0.1), QuadratureSpec()),
+            (PairSpec(1.0, 60.0, 0.1), QuadratureSpec()),
+            (PairSpec(1.0, 2.0, 0.1), QuadratureSpec(upper=0.05)),
+        ],
+    )
+    def test_same_refusals_as_reference(self, pair, spec):
+        with pytest.raises(DomainError):
+            quad_reference(pair, spec)
+        with pytest.raises(DomainError):
+            kernel_quadrature(pair, spec)
+
+
 class TestKernelAsymptotic:
     def test_prefactor_on_diagonal_form(self):
         # at nu = nu' = 1 the prefactor reduces to pi/(2 sinh pi); probe it
