@@ -16,7 +16,12 @@ from typing import Literal, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .gamma_core import abs_gamma_imag, arg_gamma_imag, reciprocal_gamma
+from .gamma_core import (
+    _reciprocal_gamma_one_plus_imag,
+    abs_gamma_imag,
+    arg_gamma_imag,
+    reciprocal_gamma,
+)
 
 __all__ = [
     "FunctionValue",
@@ -69,6 +74,22 @@ def _check_abscissa(x: float) -> float:
     return x
 
 
+def _log_half(x: float) -> float:
+    """ln(x/2) for the series path; at x = 5e-324, x/2 rounds to 0 and the path cannot go on."""
+    half = 0.5 * x
+    if half == 0.0:
+        raise RangeError(f"x/2 underflows to 0 at x = {x!r}; the series path needs ln(x/2)")
+    return math.log(half)
+
+
+def _integral_span(x: float) -> float:
+    """T of the integral path's rule e^{-x cosh T} <= ~1e-20; below x ~ 2.6e-307, 46/x overflows."""
+    ratio = 46.0 / x
+    if ratio == math.inf:
+        raise RangeError(f"46/x overflows at x = {x!r}; the integral path cannot bound its tail")
+    return math.acosh(max(ratio, 1.5))
+
+
 def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, float]:
     """Termwise series for I_{i*nu_signed}(x) or its x-derivatives.
 
@@ -78,7 +99,7 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
     """
     mu = complex(0.0, nu_signed)  # the order i*nu
     half = 0.5 * x
-    log_half = math.log(half)
+    log_half = _log_half(x)
     # (x/2)^{i nu} = exp(i nu ln(x/2)); no branch ambiguity for x > 0
     prefactor = cmath.exp(mu * log_half)
     h2 = half * half
@@ -157,7 +178,7 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
     (nu > x regime).
     """
     nu = abs(nu)
-    T = math.acosh(max(46.0 / x, 1.5))
+    T = _integral_span(x)
     sign = -1.0 if deriv == 1 else 1.0
 
     def trap(n: int) -> float:
@@ -202,7 +223,7 @@ def _k_fused(nu: float, x: float) -> tuple[tuple[float, float], tuple[float, flo
     """
     mu = complex(0.0, nu)
     half = 0.5 * x
-    log_half = math.log(half)
+    log_half = _log_half(x)
     prefactor = cmath.exp(mu * log_half)
     h2 = half * half
     c = reciprocal_gamma(1.0 + mu)
@@ -261,7 +282,8 @@ def _k_eval(
     the method tag.  The series path is the I-combination for
     x <= X_SWITCH (K and K' from one fused pass); the integral
     representation serves x > X_SWITCH and always nu = 0, where the
-    combination is a 0/0 form.
+    combination is a 0/0 form.  A value that overflows (K' below
+    x ~ 1e-308) raises RangeError.
     """
     nu = abs(_check_order(nu))  # K_{i nu} = K_{-i nu} structurally
     x = _check_abscissa(x)
@@ -272,8 +294,12 @@ def _k_eval(
     if method == "series" or (method == "auto" and x <= X_SWITCH and nu != 0.0):
         fused = _k_fused(nu, x)
         values = [fused[d] if d < 2 else _k_series(nu, x, d)[:2] for d in orders]
-        return values, "series-combination"
-    return [_k_integral(nu, x, d) for d in orders], "integral-representation"
+        tag: Method = "series-combination"
+    else:
+        values, tag = [_k_integral(nu, x, d) for d in orders], "integral-representation"
+    if not all(math.isfinite(v) for v, _err in values):
+        raise RangeError(f"K_(i nu)(x) or a derivative is not finite at nu = {nu:g}, x = {x!r}")
+    return values, tag
 
 
 def _series_coefficients(nu: float, h2_max: float) -> np.ndarray:
@@ -308,8 +334,8 @@ def _series_coefficients(nu: float, h2_max: float) -> np.ndarray:
 def _k_series_values(nu: float, x: np.ndarray) -> np.ndarray:
     """K_{i nu} at every x <= X_SWITCH: -pi Im I_{i nu} / sinh(pi nu), Horner in (x/2)^2."""
     half = 0.5 * x
-    if not half.min() > 0.0:  # x = 5e-324: math.log(0.5 x) in _k_fused refuses the same way
-        raise ValueError("math domain error")
+    if not half.min() > 0.0:
+        _log_half(float(x.min()))  # x = 5e-324 refuses as on the scalar path
     h2 = half * half
     coeffs = _series_coefficients(nu, float(h2.max()))
     poly = np.full(x.shape, coeffs[-1])
@@ -344,7 +370,7 @@ def _k_integral_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     """
     m = len(nus)
     nu = np.array(nus)
-    T = math.acosh(max(46.0 / float(x.min()), 1.5))
+    T = _integral_span(float(x.min()))
 
     def cos_columns(t: np.ndarray, weight: np.ndarray) -> np.ndarray:
         c = np.cos(np.multiply.outer(t, nu)) * weight[:, None]
@@ -402,6 +428,71 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _series_length(nu: float, h2: float) -> int:
+    """Terms _k_fused sums at order nu and (x/2)^2 = h2: where the later of its K and K' sums stops.
+
+    Both stopping rules are relative to their partial sums, so the common
+    factors c_0 and, for K', 1/x drop out of them.
+    """
+    mu = complex(0.0, nu)
+    term = 1.0 + 0.0j
+    total0 = total1 = 0.0j
+    run0 = run1 = 0
+    for k in range(_SERIES_CAP):
+        if run0 < 3:
+            total0 += term
+            run0 = run0 + 1 if abs(term) < _SERIES_TINY * max(abs(total0), 1e-300) else 0
+        if run1 < 3:
+            term1 = term * (2.0 * k + mu)
+            total1 += term1
+            run1 = run1 + 1 if abs(term1) < _SERIES_TINY * max(abs(total1), 1e-300) else 0
+        if run0 >= 3 and run1 >= 3:
+            return k + 1
+        term *= h2 / ((k + 1) * (k + 1 + mu))
+    return _SERIES_CAP
+
+
+def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K_{i nu}(x) and K'_{i nu}(x) elementwise over broadcast arrays nu and x, on the series path.
+
+    Orders 0 < nu <= NU_MAX (else DomainError), abscissae 0 < x <= X_SWITCH
+    (else RangeError).  The array form of _k_fused's values: the terms
+    c_k (x/2)^{2k} / c_0 of every point are one cumulative product of
+    (x/2)^2 / (k (k + i nu)), with as many terms as _k_fused sums where
+    it needs the most (smallest nu, largest x), and c_0 = 1/Gamma(1 + i nu);
+    K = -pi Im[(x/2)^{i nu} sum] / sinh(pi nu), and K' the same with the
+    terms weighted by (2k + i nu)/x.  The rounding differs from
+    _k_fused's running sums, so values agree with it to about its error
+    estimate, not bitwise.  A K' that overflows (x below ~1e-308) raises
+    RangeError.
+    """
+    nu = np.asarray(nu, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not (nu.min() > 0.0 and nu.max() <= NU_MAX):  # nan fails too
+        bad = float(nu[~((nu > 0.0) & (nu <= NU_MAX))].flat[0])
+        _check_order(bad, allow_zero=False)  # nan, inf, above NU_MAX, 0
+        raise DomainError(f"order {bad:g} must be > 0 on the series path")
+    x_min, x_max = x.min(), x.max()
+    if not (x_min > 0.0 and x_max <= X_SWITCH):
+        bad = float(x[~((x > 0.0) & (x <= X_SWITCH))].flat[0])
+        _check_abscissa(bad)  # nan, inf, <= 0
+        raise RangeError(f"series path supports x <= {X_SWITCH:g} here, got {bad!r}")
+    _log_half(float(x_min))  # refuses x = 5e-324
+    half = 0.5 * x
+    n = _series_length(float(nu.min()), float(0.5 * x_max) ** 2)
+    k = np.arange(1.0, n)
+    terms = np.cumprod((half * half)[..., None] / (k * (k + 1j * nu[..., None])), axis=-1)
+    s0 = 1.0 + terms.sum(axis=-1)
+    sk = (terms * k).sum(axis=-1)
+    lead = _reciprocal_gamma_one_plus_imag(nu) * np.exp(1j * nu * np.log(half))  # c_0 (x/2)^(i nu)
+    with np.errstate(over="ignore", invalid="ignore"):  # a K' beyond the floats is refused below
+        s1 = (2.0 * sk + 1j * nu * s0) / x  # the terms weighted by (2k + i nu)/x
+        k_dk = (-math.pi / np.sinh(math.pi * nu)) * (lead * np.stack([s0, s1])).imag
+    if not np.isfinite(k_dk).all():
+        raise RangeError("K_(i nu)(x) or K' is not finite on the series path (x below ~1e-308)")
+    return k_dk[0], k_dk[1]
+
+
 def _k_and_dk(nu: float, x: float) -> tuple[float, float]:
     """(K_{i nu}(x), K'_{i nu}(x)) on the automatic path, values only."""
     ((k, _), (dk, _)), _method = _k_eval(nu, x)
@@ -451,7 +542,7 @@ def besselk_smallx_approx(nu: float, x: float) -> float:
         raise RangeError("small-x approximation restricted to 0 < x <= 2")
     a = abs(nu)
     amp = abs_gamma_imag(a)
-    return amp * math.cos(-a * math.log(0.5 * x) + arg_gamma_imag(a))
+    return amp * math.cos(-a * _log_half(x) + arg_gamma_imag(a))
 
 
 def besselk_largex_approx(nu: float, x: float) -> float:

@@ -11,6 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import scipy.special as sc
 
 from .errors import DomainError
@@ -101,12 +102,20 @@ def arg_gamma_imag(nu: float) -> float:
     return phase if nu > 0 else -phase
 
 
-def _arg_gamma_imag_continuous(nu: float) -> float:
+def _arg_gamma_imag_continuous(nu: float | np.ndarray) -> float | np.ndarray:
     """Im log Gamma(i nu) for 0 < nu <= 100: arg Gamma(i nu) continued along nu, not wrapped.
 
+    nu is a float (the result is a float) or an array (elementwise).
     scipy's loggamma is analytic off the negative real axis, so its
     imaginary part is continuous along the positive imaginary axis.
     """
-    if nu > _NU_MAX:
-        raise DomainError(f"|nu| = {nu:g} exceeds supported bound {_NU_MAX:g}")
-    return float(sc.loggamma(complex(0.0, nu)).imag)
+    top = np.max(nu)
+    if top > _NU_MAX:
+        raise DomainError(f"|nu| = {top:g} exceeds supported bound {_NU_MAX:g}")
+    phase = sc.loggamma(np.asarray(nu, dtype=float) * 1j).imag
+    return phase if np.ndim(nu) else float(phase)
+
+
+def _reciprocal_gamma_one_plus_imag(nu: np.ndarray) -> np.ndarray:
+    """1/Gamma(1 + i nu) elementwise for finite real nu, as reciprocal_gamma computes it."""
+    return np.exp(-sc.loggamma(1.0 + 1j * np.asarray(nu, dtype=float)))

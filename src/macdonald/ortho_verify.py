@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate  # unused here; perfbench/tracer.py wraps ortho_verify.integrate.quad
 
-from .bessel_im import _EPS, _k_and_dk, _k_values
+from .bessel_im import _EPS, _k_and_dk, _k_dk_series, _k_values
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
 from .gamma_core import _TINY, _arg_gamma_imag_continuous, arg_gamma_imag
 
@@ -93,13 +93,15 @@ class TestFunctionSpec:
         if not (self.center > 0.0 and self.width > 0.0):
             raise DomainError("center and width must be > 0")
 
-    def __call__(self, v: float) -> float:
-        u = (v - self.center) / self.width
+    def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
+        """phi(v) for a float v (a float), or elementwise over an array of v."""
+        u = (np.asarray(v, dtype=float) - self.center) / self.width
         if self.kind == "gaussian-bump":
-            return math.exp(-0.5 * u * u)
-        if abs(u) >= 1.0:
-            return 0.0
-        return math.exp(1.0 - 1.0 / (1.0 - u * u))
+            out = np.exp(-0.5 * u * u)
+        else:
+            inside = np.abs(u) < 1.0
+            out = np.where(inside, np.exp(1.0 - 1.0 / np.where(inside, 1.0 - u * u, 1.0)), 0.0)
+        return out if out.ndim else float(out)
 
     def support(self) -> tuple[float, float]:
         """Interval outside which the function is negligible (< 1e-14)."""
@@ -135,13 +137,20 @@ def _check_off_diagonal(nu: float, nup: float) -> None:
         )
 
 
+def _wronskian_term(nu, nup, xi, k1, d1, k2, d2):
+    """-xi (K_{i nu} K'_{i nu'} - K_{i nu'} K'_{i nu}) / (nu^2 - nu'^2) from the values at xi.
+
+    Elementwise over arrays of nu', xi and the K values.
+    """
+    return -xi * (k1 * d2 - k2 * d1) / (nu * nu - nup * nup)
+
+
 def _boundary(nu: float, nup: float, xi: float, k1: float, d1: float) -> tuple[float, float]:
     """(value, error) of the boundary term, given K_{i nu}(xi) = k1 and K'_{i nu}(xi) = d1."""
     _check_off_diagonal(nu, nup)
     k2, d2 = _k_and_dk(nup, xi)
-    num = k1 * d2 - k2 * d1
+    value = _wronskian_term(nu, nup, xi, k1, d1, k2, d2)
     den = nu * nu - nup * nup
-    value = -xi * num / den
     # four evaluations at ~1e-12 relative; the division can amplify
     err = 1e-11 * (abs(xi * k1 * d2) + abs(xi * k2 * d1)) / abs(den)
     return value, err
@@ -189,16 +198,29 @@ _GK_NODES = np.concatenate([_XK, -_XK[-2::-1]])
 _GK_WEIGHTS = np.stack([np.concatenate([w, w[-2::-1]]) for w in (_WK, _WG)], axis=1)  # K15 | G7
 
 
+def _panel_edges(cuts: Sequence[float], omega: float, limit: int) -> np.ndarray:
+    """Breakpoints that split each interval between successive cuts into equal panels.
+
+    About one panel per half-period pi/omega of an oscillation at angular
+    frequency omega, at least one per interval, and at most `limit` in
+    all, shared in proportion.
+    """
+    cuts = np.asarray(cuts, dtype=float)
+    n = np.maximum(1, np.ceil(omega * np.diff(cuts) / math.pi)).astype(int)
+    if n.sum() > limit:
+        n = np.maximum(1, limit * n // n.sum())
+    parts = [np.linspace(a, b, m + 1)[:-1] for a, b, m in zip(cuts[:-1], cuts[1:], n)]
+    return np.concatenate(parts + [cuts[-1:]])
+
+
 def _gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    edges: np.ndarray,
     epsabs: float,
     epsrel: float,
     limit: int,
-    pieces: int,
 ) -> tuple[float, float]:
-    """Adaptive G7K15 of f over (a, b), starting from `pieces` equal panels.
+    """Adaptive G7K15 of f over (edges[0], edges[-1]), starting from the panels between the edges.
 
     Each sweep evaluates f once, at the 15 nodes of every pending panel.
     A panel's error is max(|K15 - G7|, 50 eps r sum w|f|), the second term
@@ -208,8 +230,8 @@ def _gauss_kronrod(
     bisected, the worst first, as long as at most `limit` panels result.
     Returns (value, summed error estimate) as Python floats.
     """
-    edges = np.linspace(a, b, pieces + 1)
     lo, hi = edges[:-1], edges[1:]
+    length = edges[-1] - edges[0]
     done_value = done_err = 0.0  # panels accepted, or left as they are at the limit
     done = 0
     while True:
@@ -223,7 +245,7 @@ def _gauss_kronrod(
         tol = max(epsabs, epsrel * abs(value))
         if total_err <= tol:
             return value, total_err
-        ok = err <= tol * (hi - lo) / (b - a)
+        ok = err <= tol * (hi - lo) / length
         worst = np.flatnonzero(~ok)[np.argsort(-err[~ok], kind="stable")]
         room = max(limit - done - int(ok.sum()) - worst.size, 0)  # bisections that fit
         keep = ok.copy()
@@ -257,8 +279,8 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
         return k[:, 0] * k[:, 1]
 
     def sweep(f, a: float, b: float, limit: int) -> tuple[float, float]:
-        pieces = min(limit, max(1, math.ceil((nu + nup) * (b - a) / math.pi)))
-        return _gauss_kronrod(f, a, b, 0.5 * quad.abs_tol, quad.rel_tol, limit, pieces)
+        edges = _panel_edges([a, b], nu + nup, limit)
+        return _gauss_kronrod(f, edges, 0.5 * quad.abs_tol, quad.rel_tol, limit)
 
     total = 0.0
     err = 0.0
@@ -283,10 +305,13 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
     return KernelValue(value=total, method="quadrature", abs_err_estimate=err)
 
 
-def _asym_prefactor(nu: float, nup: float) -> float:
-    den = 2.0 * math.sqrt(nu * nup * math.sinh(math.pi * nu) * math.sinh(math.pi * nup))
-    if den == 0.0:  # nu nu' sinh(pi nu) sinh(pi nu') underflows for tiny orders
-        raise DomainError(f"sinc-form prefactor not representable at nu = {nu:g}, nu' = {nup:g}")
+def _asym_prefactor(nu: float, nup: float | np.ndarray) -> float | np.ndarray:
+    """pi / (2 sqrt(nu nu' sinh(pi nu) sinh(pi nu'))), elementwise over an array nu'."""
+    den = 2.0 * np.sqrt(nu * nup * math.sinh(math.pi * nu) * np.sinh(math.pi * nup))
+    if np.any(den == 0.0):  # nu nu' sinh(pi nu) sinh(pi nu') underflows for tiny orders
+        raise DomainError(
+            f"sinc-form prefactor not representable at nu = {nu:g}, nu' = {np.min(nup):g}"
+        )
     return math.pi / den
 
 
@@ -299,13 +324,16 @@ def _check_asymptotic(pair: PairSpec) -> None:
 
 def _sinc_constants(nu: float, nup: float) -> tuple[float, float, float]:
     """arg Gamma(i nu), arg Gamma(i nu') and the sinc prefactor: fixed per order pair."""
-    return arg_gamma_imag(nu), arg_gamma_imag(nup), _asym_prefactor(nu, nup)
+    return arg_gamma_imag(nu), arg_gamma_imag(nup), float(_asym_prefactor(nu, nup))
 
 
-def _sinc_form(nu: float, nup: float, xi: float, g1: float, g2: float, pref: float) -> float:
-    lg = math.log(0.5 * xi)
-    term_minus = math.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
-    term_plus = math.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
+def _sinc_form(
+    nu: float, nup: float, xi: float | np.ndarray, g1: float, g2: float, pref: float
+) -> float | np.ndarray:
+    """The sinc form at cutoff xi, elementwise over an array xi."""
+    lg = np.log(0.5 * xi)
+    term_minus = np.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
+    term_plus = np.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
     return pref * (term_minus + term_plus)
 
 
@@ -318,7 +346,7 @@ def kernel_asymptotic(pair: PairSpec) -> KernelValue:
     _check_asymptotic(pair)
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
     g1, g2, pref = _sinc_constants(nu, nup)
-    value = _sinc_form(nu, nup, xi, g1, g2, pref)
+    value = float(_sinc_form(nu, nup, xi, g1, g2, pref))
     # leading corrections inherited from the small-x expansion are O(xi^2)
     err = pref * xi * xi * 10.0
     return KernelValue(value=value, method="asymptotic", abs_err_estimate=err)
@@ -413,7 +441,12 @@ def diagonal_limit(nu: float, xi: float, h: float = 1.0e-4) -> float:
 
 def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
     """int kernel(nu, nu', xi) phi(nu') dnu' with the near-diagonal window
-    replaced by the diagonal limit."""
+    replaced by the diagonal limit.
+
+    One adaptive G7K15 over nu', each sweep evaluating K and K' at xi for
+    all its nodes in one series (bessel_im._k_dk_series); the first sweep
+    has about one panel per half-period of the kernel on each side of nu.
+    """
     lo, hi = phi.support()
     lo = max(lo, 1.0e-2)
     if hi <= lo:
@@ -421,31 +454,36 @@ def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
     diag = diagonal_limit(nu, xi) if lo < nu < hi else None
     k1, d1 = _k_and_dk(nu, xi)
 
-    def integrand(nup: float) -> float:
-        if diag is not None and abs(nup - nu) < _DIAG_WINDOW:
-            return diag * phi(nup)
-        return _boundary(nu, nup, xi, k1, d1)[0] * phi(nup)
+    def integrand(nup: np.ndarray) -> np.ndarray:
+        k2, d2 = _k_dk_series(nup, xi)
+        gap = np.abs(nup - nu)
+        if diag is None:
+            _check_off_diagonal(nu, float(nup[np.argmin(gap)]))
+            return _wronskian_term(nu, nup, xi, k1, d1, k2, d2) * phi(nup)
+        far = gap >= _DIAG_WINDOW
+        out = np.full(nup.shape, diag)
+        out[far] = _wronskian_term(nu, nup[far], xi, k1, d1, k2[far], d2[far])
+        return out * phi(nup)
 
-    points = [nu] if lo < nu < hi else None
-    value, _err = integrate.quad(
-        integrand, lo, hi, points=points, limit=400, epsabs=1e-10, epsrel=1e-9
-    )
+    cuts = [lo, nu, hi] if diag is not None else [lo, hi]
+    edges = _panel_edges(cuts, -math.log(0.5 * xi), 400)  # the kernel oscillates at ln(2/xi)
+    value, _err = _gauss_kronrod(integrand, edges, 1e-10, 1e-9, 400)
     return value
 
 
 def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
-    """|second (nu + nu') term of the sinc form integrated against phi|."""
+    """|second (nu + nu') term of the sinc form integrated against phi|, by adaptive G7K15."""
     lo, hi = phi.support()
     lo = max(lo, 1.0e-2)
     lg = math.log(0.5 * xi)
     g1 = arg_gamma_imag(nu)
 
-    def integrand(nup: float) -> float:
-        pref = _asym_prefactor(nu, nup)
-        s = math.sin(-(nu + nup) * lg + g1 + arg_gamma_imag(nup))
-        return pref * s / (nu + nup) * phi(nup)
+    def integrand(nup: np.ndarray) -> np.ndarray:
+        # sin is 2 pi periodic, so the continuous arg Gamma(i nu') serves for the principal one
+        s = np.sin(-(nu + nup) * lg + g1 + _arg_gamma_imag_continuous(nup))
+        return _asym_prefactor(nu, nup) * s / (nu + nup) * phi(nup)
 
-    value, _err = integrate.quad(integrand, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-10)
+    value, _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg, 400), 1e-12, 1e-10, 400)
     return abs(value)
 
 
@@ -512,16 +550,17 @@ def asymptotic_envelope(
         math.log(xi) + 0.5 * math.log(2.0),
         n_samples,
     )
-    diffs = []
-    sinc = None  # fixed per (nu, nu'); set once the first sample passes its checks
-    for s in np.exp(u):
-        pair = PairSpec(nu, nu_prime, float(s))
-        _check_asymptotic(pair)
-        if sinc is None:
-            sinc = _sinc_constants(nu, nu_prime)
-        boundary, _err = _boundary(nu, nu_prime, pair.xi, *_k_and_dk(nu, pair.xi))
-        diffs.append(_sinc_form(nu, nu_prime, pair.xi, *sinc) - boundary)
-    y = np.asarray(diffs) / np.exp(2.0 * u)
+    xs = np.exp(u)
+    # K and K' of both orders at all samples come from one series.  The
+    # refusals keep the order in which a sample-by-sample evaluation met
+    # them: the first sample, the sinc constants, the orders (in
+    # _k_dk_series), then xi <= 0.1 for the largest sample (they increase).
+    _check_asymptotic(PairSpec(nu, nu_prime, float(xs[0])))
+    sinc = _sinc_constants(nu, nu_prime)
+    (k1, k2), (d1, d2) = _k_dk_series(np.array([[nu], [nu_prime]]), xs)
+    _check_asymptotic(PairSpec(nu, nu_prime, float(xs[-1])))
+    boundary = _wronskian_term(nu, nu_prime, xs, k1, d1, k2, d2)
+    y = (_sinc_form(nu, nu_prime, xs, *sinc) - boundary) / np.exp(2.0 * u)
     cols = []
     for f in (abs(nu - nu_prime), nu + nu_prime):
         cols.append(np.cos(f * u))

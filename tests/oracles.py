@@ -6,7 +6,10 @@ at 40-200 digits; the slow recomputation is only spot-checked in the
 test suite.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -37,6 +40,40 @@ def i_series_ref(nu, x, terms=60, dps=200):
         for k in range(terms):
             tot += (x / 2) ** (2 * k + 1j * nu) / (mp.factorial(k) * mp.gamma(k + 1 + 1j * nu))
         return mp.mpc(tot)
+
+
+def k_dk_besselk_ref(nu, x, dps=30):
+    """(K_{i nu}(x), K'_{i nu}(x)) as mpf; K' = -(K_{i nu - 1} + K_{i nu + 1}) / 2, DLMF 10.29.1."""
+    with mp.workdps(dps):
+        z, x = 1j * mp.mpf(nu), mp.mpf(x)
+        return mp.besselk(z, x).real, (-(mp.besselk(z - 1, x) + mp.besselk(z + 1, x)) / 2).real
+
+
+def envelope_ref(nu, nup, xi, n_samples=48, dps=30):
+    """asymptotic_envelope(nu, nup, xi) with every step after the sampling at `dps` digits.
+
+    The samples are the binary64 ones (linspace in u = ln x, x = exp(u));
+    the boundary term comes from k_dk_besselk_ref, the sinc form from
+    mpmath's arg Gamma, and the least-squares fit is mpmath's QR solve.
+    """
+    half_octave = 0.5 * math.log(2.0)
+    u = np.linspace(math.log(xi) - half_octave, math.log(xi) + half_octave, n_samples)
+    with mp.workdps(dps):
+        a, b = mp.mpf(nu), mp.mpf(nup)
+        g1, g2 = mp.arg(mp.gamma(1j * a)), mp.arg(mp.gamma(1j * b))
+        pref = mp.pi / (2 * mp.sqrt(a * b * mp.sinh(mp.pi * a) * mp.sinh(mp.pi * b)))
+        rows, ys = [], []
+        for uj, xj in zip(u.tolist(), np.exp(u).tolist()):
+            uj, s = mp.mpf(uj), mp.mpf(xj)
+            (k1, d1), (k2, d2) = k_dk_besselk_ref(nu, s, dps), k_dk_besselk_ref(nup, s, dps)
+            boundary = -s * (k1 * d2 - k2 * d1) / (a * a - b * b)
+            lg = mp.log(s / 2)
+            sinc = pref * (mp.sin(-(a - b) * lg + g1 - g2) / (a - b)
+                           + mp.sin(-(a + b) * lg + g1 + g2) / (a + b))
+            ys.append((sinc - boundary) / mp.exp(2 * uj))
+            rows.append([f(w * uj) for w in (abs(a - b), a + b) for f in (mp.cos, mp.sin)])
+        coeff, _residual = mp.qr_solve(mp.matrix(rows), mp.matrix(ys))
+        return float(mp.mpf(xi) ** 2 * mp.sqrt(sum(c * c for c in coeff)))
 
 
 def log_gamma_ref(z, dps=40):
@@ -105,4 +142,12 @@ K_GRID = {
     (10.0, 2.0): 1.1735704221220611526e-7,
     (10.0, 5.0): -1.0825398134796980693e-7,
     (10.0, 20.0): 4.764583127515444526e-11,
+}
+
+# asymptotic_envelope's test cases, from envelope_ref at 30 digits
+ENVELOPE = {
+    (1.0, 1.5, 1e-3): 7.015453896212681e-09,
+    (0.6, 2.2, 3e-2): 3.841734243748032e-06,
+    (2.0, 1.2, 5e-5): 3.368010102422988e-12,
+    (0.5, 0.6, 5e-4): 7.145137521324606e-08,
 }

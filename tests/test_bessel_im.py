@@ -19,7 +19,7 @@ from macdonald import (
     smallx_error_envelope,
 )
 
-from macdonald.bessel_im import X_SWITCH, _k_fused, _k_series, _k_values
+from macdonald.bessel_im import X_SWITCH, _k_dk_series, _k_fused, _k_series, _k_values
 
 import oracles
 
@@ -181,6 +181,63 @@ class TestArrayCore:
     def test_abscissa_out_of_range_rejected(self, x):
         with pytest.raises(RangeError):
             _k_values([1.0], np.array([1.0, x]))
+
+
+class TestArraySeries:
+    def test_agrees_with_fused_core(self):
+        # the two routes round differently, each by about the error estimate,
+        # so they can differ by up to twice it (1.4 times at most on this grid)
+        nus = np.geomspace(1e-2, 50.0, 30)
+        xs = np.geomspace(1e-8, 2.0, 30)
+        k, dk = _k_dk_series(nus[:, None], xs[None, :])
+        assert k.shape == dk.shape == (nus.size, xs.size)
+        for i, nu in enumerate(nus):
+            for j, x in enumerate(xs):
+                (kf, k_err), (dkf, dk_err) = _k_fused(float(nu), float(x))
+                assert abs(k[i, j] - kf) <= 2.0 * k_err, (nu, x)
+                assert abs(dk[i, j] - dkf) <= 2.0 * dk_err, (nu, x)
+
+    @pytest.mark.parametrize("nu", [50.5, 0.0, -1.0, math.nan, math.inf])
+    def test_order_out_of_range_rejected(self, nu):
+        with pytest.raises(DomainError):
+            _k_dk_series(np.array([1.0, nu]), 0.5)
+
+    @pytest.mark.parametrize("x", [2.5, 0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310])
+    def test_abscissa_out_of_range_rejected(self, x):
+        # 5e-324: x/2 underflows; 1e-310: K' overflows
+        with pytest.raises(RangeError):
+            _k_dk_series(1.0, np.array([0.5, x]))
+
+
+class TestSubnormalAbscissa:
+    @pytest.mark.parametrize("f", [besselk_imag, besselk_dx, besseli_imag, besselk_smallx_approx])
+    def test_series_path_refused_where_half_x_underflows(self, f):
+        with pytest.raises(RangeError):
+            f(1.0, 5e-324)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 2.5e-307])
+    def test_integral_path_refused_where_46_over_x_overflows(self, x):
+        for f in (besselk_imag, besselk_dx):
+            with pytest.raises(RangeError):
+                f(0.0, x)
+        with pytest.raises(RangeError):
+            _k_values([0.0], np.array([1.0, x]))
+
+    def test_array_series_refused_where_half_x_underflows(self):
+        with pytest.raises(RangeError):
+            _k_values([1.0], np.array([0.5, 5e-324]))
+
+    def test_derivative_overflow_refused(self):
+        # K'_i(1e-310) is of size 1/x, beyond the largest float
+        with pytest.raises(RangeError):
+            besselk_dx(1.0, 1e-310)
+
+    def test_working_subnormal_inputs_kept(self):
+        for nu, x in [(1.0, 1e-310), (0.0, 1e-300)]:
+            ref = oracles.k_besselk_ref(nu, x)
+            assert besselk_imag(nu, x).value == pytest.approx(ref, rel=1e-12), (nu, x)
+            assert _k_values([nu], np.array([x]))[0, 0] == pytest.approx(ref, rel=1e-12), (nu, x)
+        assert besselk_dx(0.0, 1e-300).value == pytest.approx(-1e300, rel=1e-12)  # -K_1(x) ~ -1/x
 
 
 class TestSeriesEstimate:

@@ -57,6 +57,11 @@ class TestEval:
             main(["eval", "--nu", "1", "--x", "1", "--bogus", "2"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize("nu, x, reason", [("0", "1e-310", "46/x"), ("1", "5e-324", "x/2")])
+    def test_subnormal_abscissa_is_range_error(self, nu, x, reason, capsys):
+        code = main(["eval", "--nu", nu, "--x", x])
+        assert code == 2 and reason in capsys.readouterr().err
+
     def test_infinite_error_estimate_is_no_pass(self, capsys):
         code, doc = run_cli_json(["eval", "--nu", "1e-310", "--x", "1"], capsys)
         assert math.isinf(doc["rows"][0]["abs_err_estimate"])
