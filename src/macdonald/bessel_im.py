@@ -20,7 +20,6 @@ from .gamma_core import (
     _reciprocal_gamma_one_plus_imag,
     abs_gamma_imag,
     arg_gamma_imag,
-    reciprocal_gamma,
 )
 
 __all__ = [
@@ -37,8 +36,12 @@ __all__ = [
 
 Method = Literal["series-combination", "integral-representation", "large-x-asymptotic"]
 
-# Series combination of I_{-i nu} - I_{i nu} loses ~e^x of headroom to
-# cancellation; x <= 2 keeps >= 12 significant digits in binary64.
+# The series combination of I_{-i nu} - I_{i nu} loses to cancellation
+# about the ratio of its largest term to |K|: ~e^x at small order, and
+# ~e^{x^2 / (4 nu)} while x <= nu at large order.  The automatic path takes
+# the series up to _x_switch(nu): x <= 2 for nu <= 2, else x <= nu up to
+# X_SERIES_MAX; there it stays within 1e-13 of the amplitude of K against
+# 40-digit mpmath, where the integral path cannot resolve K ~ e^{-pi nu / 2}.
 X_SWITCH = 2.0
 NU_MAX = 50.0
 X_SERIES_MAX = 30.0
@@ -74,6 +77,11 @@ def _check_abscissa(x: float) -> float:
     return x
 
 
+def _x_switch(nu: float) -> float:
+    """Largest x at which the automatic path takes the series at order nu."""
+    return max(X_SWITCH, min(nu, X_SERIES_MAX))
+
+
 def _log_half(x: float) -> float:
     """ln(x/2) for the series path; at x = 5e-324, x/2 rounds to 0 and the path cannot go on."""
     half = 0.5 * x
@@ -104,7 +112,7 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
     prefactor = cmath.exp(mu * log_half)
     h2 = half * half
 
-    c = reciprocal_gamma(1.0 + mu)  # c_0 = 1/Gamma(1 + i nu)
+    c = _reciprocal_gamma_one_plus_imag(nu_signed)  # c_0 = 1/Gamma(1 + i nu)
     powxk = 1.0  # (x/2)^{2k}
     total = 0.0j
     max_mag = 0.0
@@ -226,7 +234,7 @@ def _k_fused(nu: float, x: float) -> tuple[tuple[float, float], tuple[float, flo
     log_half = _log_half(x)
     prefactor = cmath.exp(mu * log_half)
     h2 = half * half
-    c = reciprocal_gamma(1.0 + mu)
+    c = _reciprocal_gamma_one_plus_imag(nu)
     powxk = 1.0
     total0 = total1 = 0.0j
     last0 = last1 = max0 = max1 = 0.0
@@ -280,8 +288,8 @@ def _k_eval(
 
     Returns [(value, error) for each derivative order in `orders`] and
     the method tag.  The series path is the I-combination for
-    x <= X_SWITCH (K and K' from one fused pass); the integral
-    representation serves x > X_SWITCH and always nu = 0, where the
+    x <= _x_switch(nu) (K and K' from one fused pass); the integral
+    representation serves larger x and always nu = 0, where the
     combination is a 0/0 form.  A value that overflows (K' below
     x ~ 1e-308) raises RangeError.
     """
@@ -291,7 +299,7 @@ def _k_eval(
         raise DomainError("nu = 0 is a 0/0 form on the series-combination path")
     if method == "series" and x > X_SERIES_MAX:
         raise RangeError(f"series path supports x <= {X_SERIES_MAX:g}")
-    if method == "series" or (method == "auto" and x <= X_SWITCH and nu != 0.0):
+    if method == "series" or (method == "auto" and nu != 0.0 and x <= _x_switch(nu)):
         fused = _k_fused(nu, x)
         values = [fused[d] if d < 2 else _k_series(nu, x, d)[:2] for d in orders]
         tag: Method = "series-combination"
@@ -310,7 +318,7 @@ def _series_coefficients(nu: float, h2_max: float) -> np.ndarray:
     coefficients are enough there.
     """
     mu = complex(0.0, nu)
-    c = reciprocal_gamma(1.0 + mu)
+    c = _reciprocal_gamma_one_plus_imag(nu)
     coeffs = []
     powxk = 1.0
     total = 0.0j
@@ -332,7 +340,7 @@ def _series_coefficients(nu: float, h2_max: float) -> np.ndarray:
 
 
 def _k_series_values(nu: float, x: np.ndarray) -> np.ndarray:
-    """K_{i nu} at every x <= X_SWITCH: -pi Im I_{i nu} / sinh(pi nu), Horner in (x/2)^2."""
+    """K_{i nu} at every x <= _x_switch(nu): -pi Im I_{i nu} / sinh(pi nu), Horner in (x/2)^2."""
     half = 0.5 * x
     if not half.min() > 0.0:
         _log_half(float(x.min()))  # x = 5e-324 refuses as on the scalar path
@@ -405,11 +413,13 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     """K_{i nu}(x) for every nu in nus at every x, values only: shape (len(x), len(nus)).
 
     The array form of _k_eval's automatic path, with the same checks and
-    the same switch: series for x <= X_SWITCH and nu != 0, the integral
-    representation elsewhere.  The arithmetic differs from the scalar
-    path (Horner instead of a running sum, a dot product instead of
-    math.fsum), so values agree with it within its error estimate, not
-    bitwise.
+    the same switch: series for x <= _x_switch(nu) and nu != 0, the
+    integral representation elsewhere.  One trapezoid grid serves every
+    x beyond the lowest switch, for each order with an x beyond its own;
+    the series then overwrites the values below each order's switch.  The
+    arithmetic differs from the scalar path (Horner instead of a running
+    sum, a dot product instead of math.fsum), so values agree with it
+    within its error estimate, not bitwise.
     """
     orders = [abs(_check_order(float(nu))) for nu in nus]
     x = np.asarray(x, dtype=float)
@@ -417,14 +427,16 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     if bad.any():
         _check_abscissa(float(x[bad][0]))
     out = np.empty((x.size, len(orders)))
-    series = x <= X_SWITCH
-    integral = ~series if all(orders) else np.ones(x.size, dtype=bool)
+    switch = [_x_switch(nu) if nu != 0.0 else 0.0 for nu in orders]  # x <= 0 never holds
+    integral = x > min(switch)
     if integral.any():
-        out[integral] = _k_integral_values(orders, x[integral])
-    if series.any():
-        for j, nu in enumerate(orders):
-            if nu != 0.0:
-                out[series, j] = _k_series_values(nu, x[series])
+        top = x[integral].max()
+        cols = [j for j, s in enumerate(switch) if s < top]  # the orders with an integral row
+        out[np.ix_(integral, cols)] = _k_integral_values([orders[j] for j in cols], x[integral])
+    for j, nu in enumerate(orders):
+        series = x <= switch[j]
+        if series.any():
+            out[series, j] = _k_series_values(nu, x[series])
     return out
 
 
@@ -506,9 +518,9 @@ def besselk_imag(
 ) -> FunctionValue:
     """Real-valued K_{i nu}(x).
 
-    Uses the I-combination for x <= X_SWITCH and the integral
-    representation beyond (and always for nu = 0, where the combination
-    is a 0/0 form).
+    Uses the I-combination for x <= max(2, min(|nu|, 30)) and the
+    integral representation beyond (and always for nu = 0, where the
+    combination is a 0/0 form).
     """
     ((value, err),), tag = _k_eval(nu, x, method, orders=(0,))
     return FunctionValue(value=value, abs_err_estimate=err, method=tag)

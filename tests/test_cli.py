@@ -170,10 +170,11 @@ class TestAsymCheck:
         code = main(["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", xi])
         assert code == 2 and "cutoff xi" in capsys.readouterr().err
 
-    def test_non_finite_envelope_is_no_pass(self, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
-            code, out = run_cli(["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-150"], capsys)
+    def test_injected_non_finite_envelope_is_no_pass(self, capsys, monkeypatch):
+        import macdonald.cli as cli
+
+        monkeypatch.setattr(cli, "asymptotic_envelope", lambda nu, nu2, xi: math.inf)
+        code, out = run_cli(["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-3"], capsys)
         doc = json.loads(out)
         assert math.isinf(doc["rows"][0]["envelope"])
         assert doc["rows"][0]["pass"] is False

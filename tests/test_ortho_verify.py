@@ -557,3 +557,23 @@ class TestWeakLimitRegression:
             weak_limit_test(1.0, [1e-310], phi)
         with pytest.raises(RangeError):
             kernel_boundary(PairSpec(1.0, 2.0, 1e-310))
+
+
+class TestEnvelopeAtTinyCutoff:
+    """asymptotic_envelope where a scaling by s^2 overflowed: inf from xi ~ 1e-150, nan below."""
+
+    @pytest.mark.parametrize("xi", [1e-150, 5e-151, 1e-160, 1e-200, 1e-300])
+    def test_finite_without_warnings(self, xi):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow and divide warnings too
+            envelope = asymptotic_envelope(1.0, 1.5, xi)
+        # the true envelope, ~xi^2, lies far below the rounding of the difference of two
+        # O(1) kernels, so the fit returns that rounding: finite and small
+        assert 0.0 <= envelope <= 1e-11
+
+    def test_halving_shrinks_fourfold_while_resolved(self):
+        # at xi = 1e-5 the envelope, ~7e-13, is still far above that rounding
+        ratio = asymptotic_envelope(1.0, 1.5, 1e-5) / asymptotic_envelope(1.0, 1.5, 5e-6)
+        assert 0.75 * 4.0 <= ratio <= 1.25 * 4.0  # asym-check's default band
