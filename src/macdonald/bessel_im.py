@@ -62,13 +62,14 @@ class FunctionValue:
 
 
 def _check_order(nu: float, allow_zero: bool = True) -> float:
+    """The order as a Python float (from an int or a numpy scalar too), once it is in range."""
     if not math.isfinite(nu):
         raise DomainError("order must be finite")
     if abs(nu) > NU_MAX:
         raise DomainError(f"|nu| = {abs(nu):g} exceeds supported bound {NU_MAX:g}")
     if nu == 0.0 and not allow_zero:
         raise DomainError("nu = 0 not supported by this operation")
-    return nu
+    return float(nu)
 
 
 def _check_abscissa(x: float) -> float:
@@ -96,6 +97,17 @@ def _integral_span(x: float) -> float:
     if ratio == math.inf:
         raise RangeError(f"46/x overflows at x = {x!r}; the integral path cannot bound its tail")
     return math.acosh(max(ratio, 1.5))
+
+
+def _phase_err(nu: float, log_half: float) -> float:
+    """Relative error of I_{i nu}(x) from its two rounded phases, nu ln(x/2) and c_0's.
+
+    c_0 = 1/Gamma(1 + i nu) has a phase of about nu ln nu; each phase is
+    off by about 2 eps times its size, bounded by nu |ln(x/2)| and
+    nu (|ln nu| + 1).
+    """
+    nu = abs(nu)
+    return 2.0 * _EPS * nu * (abs(log_half) + abs(math.log(nu)) + 1.0) if nu else 0.0
 
 
 def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, float]:
@@ -140,8 +152,7 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
         c = c / (kk * (kk + mu))
         powxk *= h2
     value = prefactor * total
-    # the rounded phase nu ln(x/2) is off by ~2 eps nu |ln(x/2)|, an error of that times |I|
-    phase_err = 2.0 * _EPS * abs(nu_signed) * abs(log_half)
+    phase_err = _phase_err(nu_signed, log_half)
     err = abs(prefactor) * (last_term_mag + _EPS * max_mag) + phase_err * abs(value)
     return value, err
 
@@ -225,7 +236,7 @@ def _k_fused(nu: float, x: float) -> tuple[tuple[float, float], tuple[float, flo
     deriv 0 and 1.  For real x, I_{-i nu}(x) = conj I_{i nu}(x), and the
     two series come out as exact conjugates in binary64, so the
     combination reduces to K = -pi Im I_{i nu} / sinh(pi nu) and its error
-    to (pi / sinh(pi nu)) (err + eps |I|), err with _i_series' phase term.
+    to (pi / sinh(pi nu)) (err + eps |I|), err with _i_series' phase terms.
     The K' series shares every term, times m/x; each of the two sums keeps
     its own stopping rule.
     """
@@ -275,7 +286,7 @@ def _k_fused(nu: float, x: float) -> tuple[tuple[float, float], tuple[float, flo
     # 0 - pi Im I, the real part of (pi/2i)(conj I - I): Im I = 0 gives +0.0
     k0 = (0.0 - math.pi * i0.imag) / s
     k1 = (0.0 - math.pi * i1.imag) / s
-    phase_err = 2.0 * _EPS * nu * abs(log_half)  # as in _i_series, in the same order
+    phase_err = _phase_err(nu, log_half)
     err0 = scale * (mag * (last0 + _EPS * max0) + phase_err * abs(i0) + _EPS * abs(i0))
     err1 = scale * (mag * (last1 + _EPS * max1) + phase_err * abs(i1) + _EPS * abs(i1))
     return (k0, err0), (k1, err1)

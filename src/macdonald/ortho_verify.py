@@ -15,7 +15,7 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .bessel_im import _EPS, _k_and_dk, _k_dk_series, _k_values
+from .bessel_im import _EPS, _check_order, _k_and_dk, _k_dk_series, _k_values
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
 from .gamma_core import _TINY, _arg_gamma_imag_continuous, arg_gamma_imag
 
@@ -211,17 +211,14 @@ _GK_NODES = np.concatenate([_XK, -_XK[-2::-1]])
 _GK_WEIGHTS = np.stack([np.concatenate([w, w[-2::-1]]) for w in (_WK, _WG)], axis=1)  # K15 | G7
 
 
-def _panel_edges(cuts: Sequence[float], omega: float, limit: int) -> np.ndarray:
+def _panel_edges(cuts: Sequence[float], omega: float) -> np.ndarray:
     """Breakpoints that split each interval between successive cuts into equal panels.
 
-    About one panel per half-period pi/omega of an oscillation at angular
-    frequency omega, at least one per interval, and at most `limit` in
-    all, shared in proportion.
+    One panel per half-period pi/omega of an oscillation at angular
+    frequency omega, at least one per interval.
     """
     cuts = np.asarray(cuts, dtype=float)
     n = np.maximum(1, np.ceil(omega * np.diff(cuts) / math.pi)).astype(int)
-    if n.sum() > limit:
-        n = np.maximum(1, limit * n // n.sum())
     parts = [np.linspace(a, b, m + 1)[:-1] for a, b, m in zip(cuts[:-1], cuts[1:], n)]
     return np.concatenate(parts + [cuts[-1:]])
 
@@ -240,13 +237,13 @@ def _gauss_kronrod(
     QUADPACK's roundoff floor.  The sweeps stop once the summed error is
     within max(epsabs, epsrel |value|); until then each panel within its
     share of that tolerance (by width) is accepted and the rest are
-    bisected, the worst first, as long as at most `limit` panels result.
+    bisected, the worst first, as long as the bisections number at most
+    `limit` in all; the panels between the edges do not count.
     Returns (value, summed error estimate) as Python floats.
     """
     lo, hi = edges[:-1], edges[1:]
     length = edges[-1] - edges[0]
     done_value = done_err = 0.0  # panels accepted, or left as they are at the limit
-    done = 0
     while True:
         centre, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
         fx = f((centre[:, None] + r[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
@@ -260,15 +257,14 @@ def _gauss_kronrod(
             return value, total_err
         ok = err <= tol * (hi - lo) / length
         worst = np.flatnonzero(~ok)[np.argsort(-err[~ok], kind="stable")]
-        room = max(limit - done - int(ok.sum()) - worst.size, 0)  # bisections that fit
         keep = ok.copy()
-        keep[worst[room:]] = True
-        done += int(keep.sum())
+        keep[worst[limit:]] = True
         done_value += float(kg[keep, 0].sum())
         done_err += float(err[keep].sum())
-        split = worst[:room]
+        split = worst[:limit]
         if not split.size:
             return done_value, done_err
+        limit -= split.size
         lo = np.concatenate([lo[split], centre[split]])
         hi = np.concatenate([centre[split], hi[split]])
 
@@ -276,40 +272,28 @@ def _gauss_kronrod(
 def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -> KernelValue:
     """Adaptive quadrature of int_xi^U K_{i nu} K_{i nu'} / x dx plus tail bound.
 
-    On (xi, min(2, U)) the substitution u = ln x turns the logarithmic
-    oscillation of the integrand into a trigonometric-regular one.  Both
-    parts are vectorized Gauss-Kronrod sweeps over array K
-    (bessel_im._k_values), starting from about one panel per half-period
-    of the product's fastest oscillation, (nu + nu') / pi per unit length.
+    One adaptive G7K15 run (_gauss_kronrod) in u = ln x over (ln xi, ln U):
+    dx/x = du, and in u the product oscillates at angular frequency at most
+    nu + nu' and, beyond x ~ 2, decays like e^{-2x} within a short stretch.
+    The first partition has one panel per half-period pi / (nu + nu'),
+    however many that is; bisection adds at most 400 panels.  Each pass
+    evaluates both orders at all of its nodes in one array call
+    (bessel_im._k_values).
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
+    for order in (nu, nup):  # refused before the first partition scales with them
+        _check_order(order)
     upper = quad.upper if quad.upper is not None else _tail_cutoff(quad.abs_tol)
     if upper <= xi:
         raise DomainError("upper cutoff must exceed xi")
 
-    def product(x: np.ndarray) -> np.ndarray:
-        k = _k_values((nu, nup), x)
+    def product(u: np.ndarray) -> np.ndarray:
+        k = _k_values((nu, nup), np.exp(u))
         return k[:, 0] * k[:, 1]
 
-    def sweep(f, a: float, b: float, limit: int) -> tuple[float, float]:
-        edges = _panel_edges([a, b], nu + nup, limit)
-        return _gauss_kronrod(f, edges, 0.5 * quad.abs_tol, quad.rel_tol, limit)
-
-    total = 0.0
-    err = 0.0
-    mid = min(2.0, upper)
-    if xi < mid:
-        v1, e1 = sweep(lambda u: product(np.exp(u)), math.log(xi), math.log(mid), 400)
-        total += v1
-        err += e1
-    else:
-        mid = xi
-    if upper > mid:
-        v2, e2 = sweep(lambda x: product(x) / x, mid, upper, 200)
-        total += v2
-        err += e2
-    tail = (math.pi / (4.0 * upper * upper)) * math.exp(-2.0 * upper)
-    err += tail
+    edges = _panel_edges([math.log(xi), math.log(upper)], nu + nup)
+    total, err = _gauss_kronrod(product, edges, 0.5 * quad.abs_tol, quad.rel_tol, 400)
+    err += (math.pi / (4.0 * upper * upper)) * math.exp(-2.0 * upper)
     if err > 10.0 * (quad.abs_tol + quad.rel_tol * abs(total)):
         raise ConvergenceError(
             f"quadrature error estimate {err:.3g} exceeds requested tolerance",
@@ -478,8 +462,9 @@ def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
         out[far] = _wronskian_term(nu, nup[far], xi, k1, d1, k2[far], d2[far])
         return out * phi(nup)
 
+    _check_order(hi)  # nodes beyond NU_MAX are refused; refuse before laying their panels
     cuts = [lo, nu, hi] if diag is not None else [lo, hi]
-    edges = _panel_edges(cuts, -math.log(0.5 * xi), 400)  # the kernel oscillates at ln(2/xi)
+    edges = _panel_edges(cuts, -math.log(0.5 * xi))  # the kernel oscillates at ln(2/xi)
     value, _err = _gauss_kronrod(integrand, edges, 1e-10, 1e-9, 400)
     return value
 
@@ -496,7 +481,7 @@ def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
         s = np.sin(-(nu + nup) * lg + g1 + _arg_gamma_imag_continuous(nup))
         return _asym_prefactor(nu, nup) * s / (nu + nup) * phi(nup)
 
-    value, _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg, 400), 1e-12, 1e-10, 400)
+    value, _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg), 1e-12, 1e-10, 400)
     return abs(value)
 
 

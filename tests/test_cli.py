@@ -98,6 +98,14 @@ class TestIdentityCheck:
         assert row["pass"] is True
         assert doc["parameters"]["tol"] == 1e-8
 
+    def test_tiny_cutoff_passes(self, capsys):
+        # (nu + nu') ln(U/xi) / pi ~ 660 half-periods: more first-partition panels
+        # than the 400 bisections the quadrature allows
+        code, doc = run_cli_json(
+            ["identity-check", "--nu", "1", "--nu2", "2", "--xi", "1e-300"], capsys
+        )
+        assert code == 0 and doc["pass"] is True
+
 
 class TestOrthoScan:
     def test_rows_and_diagonal(self, capsys):

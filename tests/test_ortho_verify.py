@@ -130,6 +130,38 @@ class TestKernelQuadrature:
         assert exc_info.value.estimate is not None
 
 
+class TestSingleSweep:
+    @pytest.mark.parametrize("pair", [(1.0, 2.0, 1e-3), (0.5, 1.0, 1.5), (5.0, 3.0, 3.0)])
+    def test_one_gauss_kronrod_call(self, pair, monkeypatch):
+        # below and above x = 2, and from a cutoff beyond it: one sweep over u = ln x
+        calls = []
+        gauss_kronrod = ortho_verify._gauss_kronrod
+        monkeypatch.setattr(
+            ortho_verify, "_gauss_kronrod", lambda *a: calls.append(a) or gauss_kronrod(*a)
+        )
+        kernel_quadrature(PairSpec(*pair))
+        assert len(calls) == 1
+
+    def test_first_partition_follows_the_oscillation(self):
+        # one panel per half-period pi/omega, however many: 955 here, past the
+        # 400 bisections its callers allow
+        edges = ortho_verify._panel_edges([0.0, 1000.0], 3.0)
+        assert edges.size - 1 == math.ceil(3.0 * 1000.0 / math.pi) > 400
+        edges = ortho_verify._panel_edges([0.0, 1.0, 700.0], 2.0)
+        assert edges.size - 1 == 1 + math.ceil(2.0 * 699.0 / math.pi)
+        assert edges[0] == 0.0 and 1.0 in edges and edges[-1] == 700.0
+
+    def test_tiny_cutoff_converges(self):
+        pair = PairSpec(1.0, 2.0, 1e-300)
+        assert abs(kernel_quadrature(pair).value - kernel_boundary(pair).value) <= 1e-8
+
+    def test_huge_orders_refused_before_the_sweep(self, monkeypatch):
+        # a first partition of (nu + nu') ln(U/xi) / pi panels must never be laid for them
+        monkeypatch.setattr(ortho_verify, "_panel_edges", None)
+        with pytest.raises(DomainError):
+            kernel_quadrature(PairSpec(1e300, 1.0, 0.1))
+
+
 def quad_reference(pair, quad=QuadratureSpec()):
     """kernel_quadrature as scipy quad over scalar K products: the same parts and tolerances."""
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
@@ -549,6 +581,13 @@ class TestWeakLimitRegression:
             reflected_reference(1.0, 1e-2, phi)
         with pytest.raises(DomainError):
             ortho_verify._reflected_bound(1.0, 1e-2, phi)
+
+    def test_wide_support_refused_before_the_sweep(self, monkeypatch):
+        # every node above NU_MAX is refused; its panels must not be laid first
+        monkeypatch.setattr(ortho_verify, "_panel_edges", None)
+        phi = TestFunctionSpec("gaussian-bump", 1e6, 1e5)
+        with pytest.raises(DomainError):
+            ortho_verify._smeared_kernel(1.0, 1e-300, phi)
 
     def test_subnormal_cutoff_refused(self):
         # K' overflows at xi = 1e-310; the scalar route returned nan here
