@@ -34,7 +34,7 @@ __all__ = [
     "ode_residual",
 ]
 
-Method = Literal["series-combination", "integral-representation", "large-x-asymptotic"]
+Method = Literal["series-combination", "integral-representation"]
 
 # The series combination of I_{-i nu} - I_{i nu} loses to cancellation
 # about the ratio of its largest term to |K|: ~e^x at small order, and
@@ -78,8 +78,19 @@ def _check_abscissa(x: float) -> float:
     return x
 
 
-def _x_switch(nu: float) -> float:
-    """Largest x at which the automatic path takes the series at order nu."""
+def _check_abscissae(x) -> np.ndarray:
+    """x as a float array, once every element is finite and > 0; else _check_abscissa's error."""
+    x = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(x) & (x > 0.0))
+    if bad.any():
+        _check_abscissa(float(x[bad][0]))
+    return x
+
+
+def _x_switch(nu: float | np.ndarray) -> float | np.ndarray:
+    """Largest x where the automatic path takes the series at order nu, elementwise for arrays."""
+    if isinstance(nu, np.ndarray):
+        return np.minimum(np.maximum(nu, X_SWITCH), X_SERIES_MAX)
     return max(X_SWITCH, min(nu, X_SERIES_MAX))
 
 
@@ -326,7 +337,8 @@ def _series_coefficients(nu: float, h2_max: float) -> np.ndarray:
 
     The K sum of _k_fused stops after three terms below 1e-18 of the
     partial sum; at a smaller (x/2)^2 every term is smaller, so the same
-    coefficients are enough there.
+    coefficients are enough there.  The count serves K' too: what its own
+    rule would add is below 3e-21 of the K' sum (nu >= 1e-3, x <= _x_switch(nu)).
     """
     mu = complex(0.0, nu)
     c = _reciprocal_gamma_one_plus_imag(nu)
@@ -433,10 +445,7 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     within its error estimate, not bitwise.
     """
     orders = [abs(_check_order(float(nu))) for nu in nus]
-    x = np.asarray(x, dtype=float)
-    bad = ~(np.isfinite(x) & (x > 0.0))
-    if bad.any():
-        _check_abscissa(float(x[bad][0]))
+    x = _check_abscissae(x)
     out = np.empty((x.size, len(orders)))
     switch = [_x_switch(nu) if nu != 0.0 else 0.0 for nu in orders]  # x <= 0 never holds
     integral = x > min(switch)
@@ -451,58 +460,36 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_length(nu: float, h2: float) -> int:
-    """Terms _k_fused sums at order nu and (x/2)^2 = h2: where the later of its K and K' sums stops.
-
-    Both stopping rules are relative to their partial sums, so the common
-    factors c_0 and, for K', 1/x drop out of them.
-    """
-    mu = complex(0.0, nu)
-    term = 1.0 + 0.0j
-    total0 = total1 = 0.0j
-    run0 = run1 = 0
-    for k in range(_SERIES_CAP):
-        if run0 < 3:
-            total0 += term
-            run0 = run0 + 1 if abs(term) < _SERIES_TINY * max(abs(total0), 1e-300) else 0
-        if run1 < 3:
-            term1 = term * (2.0 * k + mu)
-            total1 += term1
-            run1 = run1 + 1 if abs(term1) < _SERIES_TINY * max(abs(total1), 1e-300) else 0
-        if run0 >= 3 and run1 >= 3:
-            return k + 1
-        term *= h2 / ((k + 1) * (k + 1 + mu))
-    return _SERIES_CAP
-
-
 def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K_{i nu}(x) and K'_{i nu}(x) elementwise over broadcast arrays nu and x, on the series path.
 
-    Orders 0 < nu <= NU_MAX (else DomainError), abscissae 0 < x <= X_SWITCH
-    (else RangeError).  The array form of _k_fused's values: the terms
-    c_k (x/2)^{2k} / c_0 of every point are one cumulative product of
-    (x/2)^2 / (k (k + i nu)), with as many terms as _k_fused sums where
-    it needs the most (smallest nu, largest x), and c_0 = 1/Gamma(1 + i nu);
-    K = -pi Im[(x/2)^{i nu} sum] / sinh(pi nu), and K' the same with the
-    terms weighted by (2k + i nu)/x.  The rounding differs from
-    _k_fused's running sums, so values agree with it to about its error
-    estimate, not bitwise.  A K' that overflows (x below ~1e-308) raises
-    RangeError.
+    Orders 0 < nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
+    the series domain of _k_eval and _k_values (else RangeError).  The array
+    form of _k_fused's values: the terms c_k (x/2)^{2k} / c_0 of every point
+    are one cumulative product of (x/2)^2 / (k (k + i nu)), as many as
+    _series_coefficients gives at the smallest nu and the largest x, and
+    c_0 = 1/Gamma(1 + i nu); K = -pi Im[(x/2)^{i nu} sum] / sinh(pi nu), and
+    K' the same with the terms weighted by (2k + i nu)/x.  The rounding
+    differs from _k_fused's running sums, so values agree with it to about
+    its error estimate, not bitwise.  A K' that overflows (x below ~1e-308)
+    raises RangeError.
     """
     nu = np.asarray(nu, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not (nu.min() > 0.0 and nu.max() <= NU_MAX):  # nan fails too
+    nu_min = float(nu.min())
+    if not (nu_min > 0.0 and nu.max() <= NU_MAX):  # nan fails too
         bad = float(nu[~((nu > 0.0) & (nu <= NU_MAX))].flat[0])
         _check_order(bad, allow_zero=False)  # nan, inf, above NU_MAX, 0
         raise DomainError(f"order {bad:g} must be > 0 on the series path")
-    x_min, x_max = x.min(), x.max()
-    if not (x_min > 0.0 and x_max <= X_SWITCH):
-        bad = float(x[~((x > 0.0) & (x <= X_SWITCH))].flat[0])
-        _check_abscissa(bad)  # nan, inf, <= 0
-        raise RangeError(f"series path supports x <= {X_SWITCH:g} here, got {bad!r}")
-    _log_half(float(x_min))  # refuses x = 5e-324
+    x = np.asarray(x, dtype=float)
+    x_min = float(x.min())
+    ok = x <= _x_switch(nu)
+    if not (x_min > 0.0 and ok.all()):  # nan and inf fail too
+        _check_abscissae(x)  # nan, inf, <= 0
+        bad, top = (float(np.broadcast_to(a, ok.shape)[~ok][0]) for a in (x, _x_switch(nu)))
+        raise RangeError(f"series path supports x <= {top:g} at this order, got {bad!r}")
+    _log_half(x_min)  # refuses x = 5e-324
     half = 0.5 * x
-    n = _series_length(float(nu.min()), float(0.5 * x_max) ** 2)
+    n = len(_series_coefficients(nu_min, float(0.5 * x.max()) ** 2))
     k = np.arange(1.0, n)
     terms = np.cumprod((half * half)[..., None] / (k * (k + 1j * nu[..., None])), axis=-1)
     s0 = 1.0 + terms.sum(axis=-1)
@@ -592,10 +579,8 @@ def smallx_error_envelope(nu: float, x: float, n_samples: int = 16) -> float:
         raise RangeError("small-x envelope meaningful only for x <= 1")
     u = np.linspace(math.log(x) - 0.5 * math.log(2.0), math.log(x) + 0.5 * math.log(2.0), n_samples)
     xs = np.exp(u)
-    err = np.array(
-        [besselk_imag(nu, float(s)).value - besselk_smallx_approx(nu, float(s)) for s in xs]
-    )
-    y = err / xs**2
+    approx = np.array([besselk_smallx_approx(nu, float(s)) for s in xs])
+    y = (_k_values([nu], xs)[:, 0] - approx) / xs**2
     basis = np.vstack([np.cos(nu * u), np.sin(nu * u)]).T
     coeff, *_ = np.linalg.lstsq(basis, y, rcond=None)
     return x * x * math.sqrt(float(np.dot(coeff, coeff)))

@@ -38,6 +38,8 @@ __all__ = [
 
 _DIAG_GUARD = 1.0e-8
 _DIAG_WINDOW = 1.0e-6
+_DIAG_STEP = 1.0e-4  # diagonal_limit's default step h
+_GK_LIMIT = 400  # bisections _gauss_kronrod may add to its first partition
 
 
 def __getattr__(name: str):
@@ -52,6 +54,12 @@ def __getattr__(name: str):
 
         return integrate
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _store_floats(spec, *names: str) -> None:
+    """Store the checked fields of a frozen spec as Python floats (from ints or numpy scalars)."""
+    for name in names:
+        object.__setattr__(spec, name, float(getattr(spec, name)))
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,7 @@ class PairSpec:
         # and quadrature routes are valid for any positive cutoff
         if not (0.0 < self.xi < math.inf):
             raise DomainError("cutoff xi must be positive and finite")
+        _store_floats(self, "nu", "nu_prime", "xi")
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,7 @@ class TestFunctionSpec:
             raise DomainError(f"unknown test-function kind {self.kind!r}")
         if not (self.center > 0.0 and self.width > 0.0):
             raise DomainError("center and width must be > 0")
+        _store_floats(self, "center", "width")
 
     def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
         """phi(v) for a float v (a float), or elementwise over an array of v."""
@@ -228,7 +238,6 @@ def _gauss_kronrod(
     edges: np.ndarray,
     epsabs: float,
     epsrel: float,
-    limit: int,
 ) -> tuple[float, float]:
     """Adaptive G7K15 of f over (edges[0], edges[-1]), starting from the panels between the edges.
 
@@ -238,12 +247,13 @@ def _gauss_kronrod(
     within max(epsabs, epsrel |value|); until then each panel within its
     share of that tolerance (by width) is accepted and the rest are
     bisected, the worst first, as long as the bisections number at most
-    `limit` in all; the panels between the edges do not count.
+    _GK_LIMIT in all; the panels between the edges do not count.
     Returns (value, summed error estimate) as Python floats.
     """
     lo, hi = edges[:-1], edges[1:]
     length = edges[-1] - edges[0]
     done_value = done_err = 0.0  # panels accepted, or left as they are at the limit
+    limit = _GK_LIMIT
     while True:
         centre, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
         fx = f((centre[:, None] + r[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
@@ -292,7 +302,7 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
         return k[:, 0] * k[:, 1]
 
     edges = _panel_edges([math.log(xi), math.log(upper)], nu + nup)
-    total, err = _gauss_kronrod(product, edges, 0.5 * quad.abs_tol, quad.rel_tol, 400)
+    total, err = _gauss_kronrod(product, edges, 0.5 * quad.abs_tol, quad.rel_tol)
     err += (math.pi / (4.0 * upper * upper)) * math.exp(-2.0 * upper)
     if err > 10.0 * (quad.abs_tol + quad.rel_tol * abs(total)):
         raise ConvergenceError(
@@ -402,7 +412,7 @@ def delta_model(a: float, eta: float, f: Optional[Callable[[float], float]] = No
     return math.sin(a * eta + f(eta)) / (math.pi * eta)
 
 
-def diagonal_limit(nu: float, xi: float, h: float = 1.0e-4) -> float:
+def diagonal_limit(nu: float, xi: float, h: float = _DIAG_STEP) -> float:
     """lim_{nu' -> nu} of the boundary-term kernel, i.e. int_xi^inf K^2/x dx.
 
     Symmetric evaluation in nu' at steps h and h/2 with Richardson
@@ -416,8 +426,11 @@ def diagonal_limit(nu: float, xi: float, h: float = 1.0e-4) -> float:
 
     # kernel_boundary's checks on the first pair come before any K is evaluated
     _check_off_diagonal(nu, PairSpec(nu, nu - h, xi).nu_prime)
-    k1, d1 = _k_and_dk(nu, xi)
+    return _richardson_diagonal(nu, xi, h, *_k_and_dk(nu, xi))
 
+
+def _richardson_diagonal(nu: float, xi: float, h: float, k1: float, d1: float) -> float:
+    """diagonal_limit's extrapolation, given K_{i nu}(xi) = k1 and K'_{i nu}(xi) = d1."""
     def kernel(nup: float) -> float:
         PairSpec(nu, nup, xi)  # nu' > 0, as kernel_boundary requires
         return _boundary(nu, nup, xi, k1, d1)[0]
@@ -448,8 +461,8 @@ def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
     lo = max(lo, 1.0e-2)
     if hi <= lo:
         raise DomainError("test function support does not intersect nu' > 0")
-    diag = diagonal_limit(nu, xi) if lo < nu < hi else None
     k1, d1 = _k_and_dk(nu, xi)
+    diag = _richardson_diagonal(nu, xi, _DIAG_STEP, k1, d1) if lo < nu < hi else None
 
     def integrand(nup: np.ndarray) -> np.ndarray:
         k2, d2 = _k_dk_series(nup, xi)
@@ -465,7 +478,7 @@ def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
     _check_order(hi)  # nodes beyond NU_MAX are refused; refuse before laying their panels
     cuts = [lo, nu, hi] if diag is not None else [lo, hi]
     edges = _panel_edges(cuts, -math.log(0.5 * xi))  # the kernel oscillates at ln(2/xi)
-    value, _err = _gauss_kronrod(integrand, edges, 1e-10, 1e-9, 400)
+    value, _err = _gauss_kronrod(integrand, edges, 1e-10, 1e-9)
     return value
 
 
@@ -481,7 +494,7 @@ def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
         s = np.sin(-(nu + nup) * lg + g1 + _arg_gamma_imag_continuous(nup))
         return _asym_prefactor(nu, nup) * s / (nu + nup) * phi(nup)
 
-    value, _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg), 1e-12, 1e-10, 400)
+    value, _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg), 1e-12, 1e-10)
     return abs(value)
 
 
@@ -498,6 +511,7 @@ def weak_limit_test(
     """
     if not nu > 0.0:
         raise DomainError("nu must be > 0")
+    nu = float(nu)
     xs = [float(x) for x in xi_sequence]
     if not xs:
         raise DomainError("xi sequence must be nonempty")

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -23,7 +25,14 @@ from macdonald import (
     weak_limit_test,
 )
 
-from macdonald.bessel_im import X_SWITCH, _k_dk_series, _k_fused, _k_series, _k_values
+from macdonald.bessel_im import (
+    X_SWITCH,
+    _k_dk_series,
+    _k_fused,
+    _k_series,
+    _k_values,
+    _x_switch,
+)
 
 import oracles
 
@@ -201,6 +210,18 @@ class TestArraySeries:
                 assert abs(k[i, j] - kf) <= 2.0 * k_err, (nu, x)
                 assert abs(dk[i, j] - dkf) <= 2.0 * dk_err, (nu, x)
 
+    def test_agrees_with_fused_core_up_to_the_switch(self):
+        # the series domain of _k_eval: x <= 2 at nu <= 2, x <= nu up to 30
+        nus = np.geomspace(1e-2, 50.0, 30)
+        xs = np.geomspace(1e-8, 30.0, 40)
+        for nu in nus:
+            row = xs[xs <= _x_switch(float(nu))]
+            k, dk = _k_dk_series(nu, row)
+            for x, kv, dkv in zip(row, k, dk):
+                (kf, k_err), (dkf, dk_err) = _k_fused(float(nu), float(x))
+                assert abs(kv - kf) <= 2.0 * k_err, (nu, x)
+                assert abs(dkv - dkf) <= 2.0 * dk_err, (nu, x)
+
     @pytest.mark.parametrize("nu", [50.5, 0.0, -1.0, math.nan, math.inf])
     def test_order_out_of_range_rejected(self, nu):
         with pytest.raises(DomainError):
@@ -208,9 +229,26 @@ class TestArraySeries:
 
     @pytest.mark.parametrize("x", [2.5, 0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310])
     def test_abscissa_out_of_range_rejected(self, x):
-        # 5e-324: x/2 underflows; 1e-310: K' overflows
+        # 2.5: beyond the switch at nu = 1; 5e-324: x/2 underflows; 1e-310: K' overflows
         with pytest.raises(RangeError):
             _k_dk_series(1.0, np.array([0.5, x]))
+
+    def test_beyond_the_switch_rejected_elementwise(self):
+        _k_dk_series(np.array([1.0, 10.0]), np.array([2.0, 10.0]))  # each at its own switch
+        with pytest.raises(RangeError):
+            _k_dk_series(np.array([1.0, 10.0]), np.array([2.0, 10.5]))
+        with pytest.raises(RangeError):
+            _k_dk_series(np.array([1.0, 10.0]), np.array([10.0, 2.0]))
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_same_abscissa_error_as_the_scalar_path(self, x):
+        with pytest.raises(RangeError) as scalar:
+            besselk_imag(1.0, x)
+        for evaluate in (lambda: _k_dk_series(1.0, np.array([0.5, x])),
+                         lambda: _k_values([1.0], np.array([0.5, x]))):
+            with pytest.raises(RangeError) as array:
+                evaluate()
+            assert str(array.value) == str(scalar.value)
 
 
 class TestSubnormalAbscissa:
@@ -287,6 +325,15 @@ class TestOrderTypes:
         phi = TestFunctionSpec("gaussian-bump", 1.0, 0.15)
         want = weak_limit_test(1.0, [0.05, 1e-5], phi).smeared_values
         assert weak_limit_test(kind(1), [0.05, 1e-5], phi).smeared_values == want
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.float64])
+    def test_kernel_reports_hold_python_floats(self, kind):
+        # the reports must serialize as they are, as the CLI's JSON does
+        assert type(kernel_boundary(PairSpec(kind(1), 2.0, 0.5)).value) is float
+        phi = TestFunctionSpec("gaussian-bump", kind(1), 0.1)
+        report = dataclasses.asdict(weak_limit_test(kind(1), [1e-2, 1e-4], phi))
+        assert type(report["nu"]) is float
+        json.dumps(report)
 
 
 class TestBesselKDerivative:

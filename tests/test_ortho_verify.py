@@ -102,6 +102,12 @@ class TestSeriesCount:
         for nodes, orders in zip(sweeps, series_orders):
             assert np.array_equal(orders, nodes)
 
+    def test_smeared_kernel_evaluates_the_fixed_order_once(self, fused_calls):
+        # nu inside the support of phi: the diagonal limit reuses K and K' at nu
+        nu, h = 1.0, 1e-4
+        ortho_verify._smeared_kernel(nu, 1e-2, TestFunctionSpec("gaussian-bump", 1.0, 0.05))
+        assert fused_calls == [nu, nu - h, nu + h, nu - h / 2, nu + h / 2]
+
 
 class TestKernelQuadrature:
     def test_diagonal_nonnegative(self):
