@@ -1,4 +1,4 @@
-"""Per-op time of two checkouts on weak_limit and kernel_pairs inputs, in one process, interleaved.
+"""Per-op time of two checkouts on k_points, weak_limit and kernel_pairs inputs, interleaved.
 
     python3 scripts/bench_arraycore.py BEFORE AFTER [--ops 400] [--seed 901] > out.json
 
@@ -38,7 +38,7 @@ import timeit
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("weak_limit", "kernel_pairs")
+WORKLOADS = ("k_points", "weak_limit", "kernel_pairs")
 
 
 def load_module(name: str, path: str, package_dir: str | None = None):
@@ -66,7 +66,7 @@ def length_one_timing(M) -> dict:
     b = importlib.import_module(M.__name__ + ".bessel_im")
     x1 = np.array([0.5])
     return {
-        "_k_fused(1, 0.5)": per_call_us(lambda: b._k_fused(1.0, 0.5)),
+        "_i_series(1, 0.5)": per_call_us(lambda: b._i_series(1.0, 0.5)),
         "besselk_imag(1, 0.5)": per_call_us(lambda: M.besselk_imag(1.0, 0.5)),
         "_k_values([1], [0.5])": per_call_us(lambda: b._k_values([1.0], x1)),
         "_k_dk_series(1, [0.5])": per_call_us(lambda: b._k_dk_series(1.0, x1)),

@@ -142,18 +142,16 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
     small_run = 0
     last_term_mag = 0.0
     for k in range(_SERIES_CAP):
-        m = 2.0 * k + mu
-        if deriv == 0:
-            factor = 1.0
-        elif deriv == 1:
-            factor = m / x
-        else:
-            factor = m * (m - 1.0) / (x * x)
-        term = c * powxk * factor
+        term = c * powxk
+        if deriv:
+            m = 2.0 * k + mu
+            term *= m / x if deriv == 1 else m * (m - 1.0) / (x * x)
         total += term
         last_term_mag = abs(term)
-        max_mag = max(max_mag, last_term_mag)
-        if last_term_mag < _SERIES_TINY * max(abs(total), 1e-300):
+        if last_term_mag > max_mag:
+            max_mag = last_term_mag
+        ref = abs(total)  # max(|total|, 1e-300), inlined
+        if last_term_mag < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
             small_run += 1
             if small_run >= 3:
                 break
@@ -240,67 +238,19 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
     return sign * prev, last_change + tail + _EPS * abs(prev)
 
 
-def _k_fused(nu: float, x: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """K_{i nu}(x) and K'_{i nu}(x) from one pass over the I_{i nu} series.
+def _k_from_i(nu: float, x: float, deriv: int) -> tuple[float, float]:
+    """K_{i nu}(x) or an x-derivative, and its error, from one pass over the I_{i nu} series.
 
-    Returns ((K, error), (K', error)), bitwise equal to _k_series at
-    deriv 0 and 1.  For real x, I_{-i nu}(x) = conj I_{i nu}(x), and the
-    two series come out as exact conjugates in binary64, so the
-    combination reduces to K = -pi Im I_{i nu} / sinh(pi nu) and its error
-    to (pi / sinh(pi nu)) (err + eps |I|), err with _i_series' phase terms.
-    The K' series shares every term, times m/x; each of the two sums keeps
-    its own stopping rule.
+    Bitwise equal to _k_series at the same order.  For real x,
+    I_{-i nu}(x) = conj I_{i nu}(x), and the two series come out as exact
+    conjugates in binary64, so the combination reduces to
+    K = -pi Im I_{i nu} / sinh(pi nu) and its error to
+    (pi / sinh(pi nu)) (err + eps |I|), err with _i_series' phase terms.
     """
-    mu = complex(0.0, nu)
-    half = 0.5 * x
-    log_half = _log_half(x)
-    prefactor = cmath.exp(mu * log_half)
-    h2 = half * half
-    c = _reciprocal_gamma_one_plus_imag(nu)
-    powxk = 1.0
-    total0 = total1 = 0.0j
-    last0 = last1 = max0 = max1 = 0.0
-    run0 = run1 = 0  # a sum is finished once its run of small terms reaches 3
-    for k in range(_SERIES_CAP):
-        term = c * powxk
-        if run0 < 3:
-            total0 += term
-            last0 = abs(term)
-            if last0 > max0:
-                max0 = last0
-            ref = abs(total0)  # the stopping rule of _i_series, max() inlined
-            if last0 < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
-                run0 += 1
-            else:
-                run0 = 0
-        if run1 < 3:
-            term1 = term * ((2.0 * k + mu) / x)
-            total1 += term1
-            last1 = abs(term1)
-            if last1 > max1:
-                max1 = last1
-            ref = abs(total1)
-            if last1 < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
-                run1 += 1
-            else:
-                run1 = 0
-        if run1 >= 3 and run0 >= 3:
-            break
-        kk = k + 1
-        c = c / (kk * (kk + mu))
-        powxk *= h2
+    i, err = _i_series(nu, x, deriv)
     s = math.sinh(math.pi * nu)
-    scale = math.pi / s
-    mag = abs(prefactor)
-    i0 = prefactor * total0
-    i1 = prefactor * total1
     # 0 - pi Im I, the real part of (pi/2i)(conj I - I): Im I = 0 gives +0.0
-    k0 = (0.0 - math.pi * i0.imag) / s
-    k1 = (0.0 - math.pi * i1.imag) / s
-    phase_err = _phase_err(nu, log_half)
-    err0 = scale * (mag * (last0 + _EPS * max0) + phase_err * abs(i0) + _EPS * abs(i0))
-    err1 = scale * (mag * (last1 + _EPS * max1) + phase_err * abs(i1) + _EPS * abs(i1))
-    return (k0, err0), (k1, err1)
+    return (0.0 - math.pi * i.imag) / s, (math.pi / s) * (err + _EPS * abs(i))
 
 
 def _k_eval(
@@ -310,7 +260,7 @@ def _k_eval(
 
     Returns [(value, error) for each derivative order in `orders`] and
     the method tag.  The series path is the I-combination for
-    x <= _x_switch(nu) (K and K' from one fused pass); the integral
+    x <= _x_switch(nu) (one I_{i nu} series per order); the integral
     representation serves larger x and always nu = 0, where the
     combination is a 0/0 form.  A value that overflows (K' below
     x ~ 1e-308) raises RangeError.
@@ -322,8 +272,7 @@ def _k_eval(
     if method == "series" and x > X_SERIES_MAX:
         raise RangeError(f"series path supports x <= {X_SERIES_MAX:g}")
     if method == "series" or (method == "auto" and nu != 0.0 and x <= _x_switch(nu)):
-        fused = _k_fused(nu, x)
-        values = [fused[d] if d < 2 else _k_series(nu, x, d)[:2] for d in orders]
+        values = [_k_from_i(nu, x, d) for d in orders]
         tag: Method = "series-combination"
     else:
         values, tag = [_k_integral(nu, x, d) for d in orders], "integral-representation"
@@ -333,9 +282,9 @@ def _k_eval(
 
 
 def _series_coefficients(nu: float, h2_max: float) -> np.ndarray:
-    """c_k of I_{i nu}(x) = (x/2)^{i nu} sum_k c_k ((x/2)^2)^k, as many as _k_fused sums at h2_max.
+    """c_k of I_{i nu}(x) = (x/2)^{i nu} sum_k c_k ((x/2)^2)^k, as many as _i_series sums at h2_max.
 
-    The K sum of _k_fused stops after three terms below 1e-18 of the
+    The I sum of _i_series stops after three terms below 1e-18 of the
     partial sum; at a smaller (x/2)^2 every term is smaller, so the same
     coefficients are enough there.  The count serves K' too: what its own
     rule would add is below 3e-21 of the K' sum (nu >= 1e-3, x <= _x_switch(nu)).
@@ -465,12 +414,12 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Orders 0 < nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
     the series domain of _k_eval and _k_values (else RangeError).  The array
-    form of _k_fused's values: the terms c_k (x/2)^{2k} / c_0 of every point
+    form of _k_eval's series values: the terms c_k (x/2)^{2k} / c_0 of every point
     are one cumulative product of (x/2)^2 / (k (k + i nu)), as many as
     _series_coefficients gives at the smallest nu and the largest x, and
     c_0 = 1/Gamma(1 + i nu); K = -pi Im[(x/2)^{i nu} sum] / sinh(pi nu), and
     K' the same with the terms weighted by (2k + i nu)/x.  The rounding
-    differs from _k_fused's running sums, so values agree with it to about
+    differs from _i_series' running sums, so values agree with it to about
     its error estimate, not bitwise.  A K' that overflows (x below ~1e-308)
     raises RangeError.
     """

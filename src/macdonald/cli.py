@@ -45,9 +45,22 @@ def _fmt(x: Any) -> Any:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        values = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
+    if not values:  # a report with no rows would check nothing
+        raise argparse.ArgumentTypeError(f"empty numeric list {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _ratio_band(text: str) -> list[float]:
@@ -83,8 +96,7 @@ def _emit(command: str, parameters: dict, rows: list[dict], passed: bool, fmt: s
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
     buf = io.StringIO()
-    fieldnames = list(rows[0].keys()) if rows else ["pass"]
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v) for k, v in row.items()})
@@ -273,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--nu2-min", type=float, required=True)
     p.add_argument("--nu2-max", type=float, required=True)
-    p.add_argument("--n", type=int, default=101)
+    p.add_argument("--n", type=_positive_int, default=101)
     add_common(p)
     p.set_defaults(func=_cmd_ortho_scan)
 

@@ -28,7 +28,7 @@ from macdonald import (
 from macdonald.bessel_im import (
     X_SWITCH,
     _k_dk_series,
-    _k_fused,
+    _k_eval,
     _k_series,
     _k_values,
     _x_switch,
@@ -135,17 +135,18 @@ class TestBesselK:
 
 class TestFusedCore:
     def test_bitwise_equal_to_two_series_combination(self):
-        # one I_{i nu} series gives K and K' with the bits and error
-        # estimates of the (I_{-i nu} - I_{i nu}) combination at each order
+        # one I_{i nu} series per order gives K, K' and K'' with the bits and
+        # error estimates of the (I_{-i nu} - I_{i nu}) combination at that order
         for nu in np.geomspace(0.05, 50.0, 25):
             for x in np.geomspace(1e-6, 2.0, 25):
                 nu, x = float(nu), float(x)
-                (k, k_err), (dk, dk_err) = _k_fused(nu, x)
+                (k, k_err), (dk, dk_err), (d2k, d2k_err) = _k_eval(nu, x, orders=(0, 1, 2))[0]
                 assert (k, k_err) == _k_series(nu, x, 0)[:2], (nu, x)
                 assert (dk, dk_err) == _k_series(nu, x, 1)[:2], (nu, x)
+                assert (d2k, d2k_err) == _k_series(nu, x, 2)[:2], (nu, x)
 
     def test_public_wrappers_share_the_core(self):
-        (k, k_err), (dk, dk_err) = _k_fused(1.3, 0.7)
+        (k, k_err), (dk, dk_err) = _k_eval(1.3, 0.7)[0]
         fk, fdk = besselk_imag(1.3, 0.7), besselk_dx(1.3, 0.7)
         assert (fk.value, fk.abs_err_estimate) == (k, k_err)
         assert (fdk.value, fdk.abs_err_estimate) == (dk, dk_err)
@@ -206,7 +207,7 @@ class TestArraySeries:
         assert k.shape == dk.shape == (nus.size, xs.size)
         for i, nu in enumerate(nus):
             for j, x in enumerate(xs):
-                (kf, k_err), (dkf, dk_err) = _k_fused(float(nu), float(x))
+                (kf, k_err), (dkf, dk_err) = _k_eval(float(nu), float(x))[0]
                 assert abs(k[i, j] - kf) <= 2.0 * k_err, (nu, x)
                 assert abs(dk[i, j] - dkf) <= 2.0 * dk_err, (nu, x)
 
@@ -218,7 +219,7 @@ class TestArraySeries:
             row = xs[xs <= _x_switch(float(nu))]
             k, dk = _k_dk_series(nu, row)
             for x, kv, dkv in zip(row, k, dk):
-                (kf, k_err), (dkf, dk_err) = _k_fused(float(nu), float(x))
+                (kf, k_err), (dkf, dk_err) = _k_eval(float(nu), float(x))[0]
                 assert abs(kv - kf) <= 2.0 * k_err, (nu, x)
                 assert abs(dkv - dkf) <= 2.0 * dk_err, (nu, x)
 

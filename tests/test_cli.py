@@ -219,6 +219,30 @@ class TestSerialization:
         assert a == b
 
 
+_SCAN = ["ortho-scan", "--nu", "1", "--xi", "1e-4", "--nu2-min", "0.5", "--nu2-max", "1.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--nu", ",", "--x", "1"],
+        ["eval", "--nu", ",", "--x", "1", "--format", "csv"],
+        ["gamma", "--nu", ","],
+        ["identity-check", "--nu", "1", "--nu2", "2", "--xi", ","],
+        ["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", ","],
+        _SCAN + ["--n", "0"],
+        _SCAN + ["--n=-3"],
+    ],
+)
+def test_report_that_checks_nothing_is_usage_error(argv, capsys):
+    # an empty list or no scan points would give a report with no rows, "pass": true
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc_info.value.code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 # Exit-code contract: whatever argv holds, main returns 0, 1 or 2, or
 # argparse exits with 2; any other exception is a traceback and fails.
 _EDGES = [0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]

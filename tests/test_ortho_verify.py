@@ -74,8 +74,10 @@ class TestSeriesCount:
     @pytest.fixture
     def fused_calls(self, monkeypatch):
         calls = []
-        fused = bessel_im._k_fused
-        monkeypatch.setattr(bessel_im, "_k_fused", lambda nu, x: calls.append(nu) or fused(nu, x))
+        k_eval = bessel_im._k_eval
+        monkeypatch.setattr(
+            bessel_im, "_k_eval", lambda nu, x, *a: calls.append(nu) or k_eval(nu, x, *a)
+        )
         return calls
 
     def test_boundary_sums_one_series_per_order(self, fused_calls):
