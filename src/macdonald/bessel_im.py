@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .gamma_core import (
+    _arg_gamma_one_plus_imag,
     _reciprocal_gamma_one_plus_imag,
     abs_gamma_imag,
     arg_gamma_imag,
@@ -121,31 +122,62 @@ def _phase_err(nu: float, log_half: float) -> float:
     return 2.0 * _EPS * nu * (abs(log_half) + abs(math.log(nu)) + 1.0) if nu else 0.0
 
 
-def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, float]:
-    """Termwise series for I_{i*nu_signed}(x) or its x-derivatives.
+def _i_series(
+    nu_signed: float, x: float, orders: tuple[int, ...] = (0,)
+) -> list[tuple[complex, float]]:
+    """Termwise series for I_{i*nu_signed}(x) and its x-derivatives.
 
-    Returns (value, absolute error estimate).  deriv in {0, 1, 2}.
-    The k-th term of I is c_k * (x/2)^(2k + i nu); differentiation
-    multiplies it by falling powers of m = 2k + i nu over x.
+    Returns [(value, absolute error estimate) for each derivative order in
+    `orders`]: (d,) with d in {0, 1, 2}, or (0, 1).  The k-th term of I is
+    c_k * (x/2)^(2k + i nu); differentiation multiplies it by falling
+    powers of m = 2k + i nu over x.  A (0, 1) pass sums I and I' over the
+    same c_k (x/2)^(2k), with one c_0, (x/2)^{i nu} and phase error; each
+    sum keeps its own stopping rule, so each result is bitwise what a
+    pass for its order alone gives.
     """
     mu = complex(0.0, nu_signed)  # the order i*nu
     half = 0.5 * x
-    log_half = _log_half(x)
+    log_half = math.log(half) if half else _log_half(x)  # _log_half refuses x/2 = 0
     # (x/2)^{i nu} = exp(i nu ln(x/2)); no branch ambiguity for x > 0
     prefactor = cmath.exp(mu * log_half)
     h2 = half * half
+    pair = len(orders) == 2
+    deriv = 3 if pair else orders[0]  # 3: the (0, 1) pass, which sums I' next to I
 
     c = _reciprocal_gamma_one_plus_imag(nu_signed)  # c_0 = 1/Gamma(1 + i nu)
     powxk = 1.0  # (x/2)^{2k}
-    total = 0.0j
-    max_mag = 0.0
-    small_run = 0
-    last_term_mag = 0.0
+    total = total1 = 0.0j
+    max_mag = max1 = 0.0
+    last_term_mag = last1 = 0.0
+    small_run = 0  # a sum ends after three terms below _SERIES_TINY of it
+    run1 = 0 if pair else 3  # the I' sum, with the same rule; 3: none
     for k in range(_SERIES_CAP):
         term = c * powxk
         if deriv:
             m = 2.0 * k + mu
-            term *= m / x if deriv == 1 else m * (m - 1.0) / (x * x)
+            if deriv == 1:
+                term *= m / x
+            elif deriv == 2:
+                term *= m * (m - 1.0) / (x * x)
+            else:
+                if run1 < 3:
+                    term1 = term * (m / x)
+                    total1 += term1
+                    last1 = abs(term1)
+                    if last1 > max1:
+                        max1 = last1
+                    ref = abs(total1)
+                    if last1 < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
+                        run1 += 1
+                    else:
+                        run1 = 0
+                if small_run >= 3:  # the I sum ended: I' goes on alone
+                    if run1 >= 3:
+                        break
+                    kk = k + 1
+                    c = c / (kk * (kk + mu))
+                    powxk *= h2
+                    continue
         total += term
         last_term_mag = abs(term)
         if last_term_mag > max_mag:
@@ -153,17 +185,21 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
         ref = abs(total)  # max(|total|, 1e-300), inlined
         if last_term_mag < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
             small_run += 1
-            if small_run >= 3:
+            if small_run >= 3 and run1 >= 3:
                 break
         else:
             small_run = 0
         kk = k + 1
         c = c / (kk * (kk + mu))
         powxk *= h2
-    value = prefactor * total
     phase_err = _phase_err(nu_signed, log_half)
-    err = abs(prefactor) * (last_term_mag + _EPS * max_mag) + phase_err * abs(value)
-    return value, err
+    mag = abs(prefactor)
+    value = prefactor * total
+    out = [(value, mag * (last_term_mag + _EPS * max_mag) + phase_err * abs(value))]
+    if pair:
+        value = prefactor * total1
+        out.append((value, mag * (last1 + _EPS * max1) + phase_err * abs(value)))
+    return out
 
 
 def besseli_imag(nu: float, x: float, sign: int = +1) -> FunctionValue:
@@ -176,7 +212,7 @@ def besseli_imag(nu: float, x: float, sign: int = +1) -> FunctionValue:
         )
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
-    value, err = _i_series(sign * nu, x)
+    ((value, err),) = _i_series(sign * nu, x)
     return FunctionValue(value=value, abs_err_estimate=err, method="series-combination")
 
 
@@ -185,8 +221,8 @@ def _k_series(nu: float, x: float, deriv: int = 0) -> tuple[float, float, float]
 
     Returns (real value, error estimate, relative imaginary residue).
     """
-    ip, errp = _i_series(+nu, x, deriv)
-    im, errm = _i_series(-nu, x, deriv)
+    ((ip, errp),) = _i_series(+nu, x, (deriv,))
+    ((im, errm),) = _i_series(-nu, x, (deriv,))
     s = math.sinh(math.pi * nu)
     comb = (math.pi / 2j) * (im - ip) / s
     mag = abs(comb)
@@ -238,19 +274,20 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
     return sign * prev, last_change + tail + _EPS * abs(prev)
 
 
-def _k_from_i(nu: float, x: float, deriv: int) -> tuple[float, float]:
-    """K_{i nu}(x) or an x-derivative, and its error, from one pass over the I_{i nu} series.
+def _k_from_i(nu: float, x: float, orders: tuple[int, ...]) -> list[tuple[float, float]]:
+    """K_{i nu}(x) or x-derivatives, each with its error, from one pass over the I_{i nu} series.
 
-    Bitwise equal to _k_series at the same order.  For real x,
-    I_{-i nu}(x) = conj I_{i nu}(x), and the two series come out as exact
-    conjugates in binary64, so the combination reduces to
+    orders as in _i_series.  Bitwise equal to _k_series at each order.
+    For real x, I_{-i nu}(x) = conj I_{i nu}(x), and the two series come
+    out as exact conjugates in binary64, so the combination reduces to
     K = -pi Im I_{i nu} / sinh(pi nu) and its error to
     (pi / sinh(pi nu)) (err + eps |I|), err with _i_series' phase terms.
     """
-    i, err = _i_series(nu, x, deriv)
     s = math.sinh(math.pi * nu)
+    scale = math.pi / s
     # 0 - pi Im I, the real part of (pi/2i)(conj I - I): Im I = 0 gives +0.0
-    return (0.0 - math.pi * i.imag) / s, (math.pi / s) * (err + _EPS * abs(i))
+    return [((0.0 - math.pi * i.imag) / s, scale * (err + _EPS * abs(i)))
+            for i, err in _i_series(nu, x, orders)]
 
 
 def _k_eval(
@@ -260,7 +297,8 @@ def _k_eval(
 
     Returns [(value, error) for each derivative order in `orders`] and
     the method tag.  The series path is the I-combination for
-    x <= _x_switch(nu) (one I_{i nu} series per order); the integral
+    x <= _x_switch(nu), one I_{i nu} series pass for K and K' together
+    and one for K''; the integral
     representation serves larger x and always nu = 0, where the
     combination is a 0/0 form.  A value that overflows (K' below
     x ~ 1e-308) raises RangeError.
@@ -272,43 +310,46 @@ def _k_eval(
     if method == "series" and x > X_SERIES_MAX:
         raise RangeError(f"series path supports x <= {X_SERIES_MAX:g}")
     if method == "series" or (method == "auto" and nu != 0.0 and x <= _x_switch(nu)):
-        values = [_k_from_i(nu, x, d) for d in orders]
+        values = _k_from_i(nu, x, orders[:2])
+        if len(orders) > 2:  # K'' (ode_residual) takes a pass of its own
+            values += _k_from_i(nu, x, orders[2:])
         tag: Method = "series-combination"
     else:
         values, tag = [_k_integral(nu, x, d) for d in orders], "integral-representation"
-    if not all(math.isfinite(v) for v, _err in values):
-        raise RangeError(f"K_(i nu)(x) or a derivative is not finite at nu = {nu:g}, x = {x!r}")
+    for v, _err in values:
+        if not math.isfinite(v):
+            raise RangeError(f"K_(i nu)(x) or a derivative is not finite at nu = {nu:g}, x = {x!r}")
     return values, tag
 
 
-def _series_coefficients(nu: float, h2_max: float) -> np.ndarray:
-    """c_k of I_{i nu}(x) = (x/2)^{i nu} sum_k c_k ((x/2)^2)^k, as many as _i_series sums at h2_max.
+def _series_run(nu: float, h2_max: float, c: complex):
+    """Yield c_0 = c, c_1, ... of I_{i nu}(x) = (x/2)^{i nu} sum_k c_k ((x/2)^2)^k.
+
+    As many as _i_series sums at h2_max, whatever c is: the rule below is
+    relative, so any c_0 gives the count of c_0 = 1/Gamma(1 + i nu).
 
     The I sum of _i_series stops after three terms below 1e-18 of the
     partial sum; at a smaller (x/2)^2 every term is smaller, so the same
-    coefficients are enough there.  The count serves K' too: what its own
-    rule would add is below 3e-21 of the K' sum (nu >= 1e-3, x <= _x_switch(nu)).
+    count is enough there.  The count serves K' too: what its own rule
+    would add is below 3e-21 of the K' sum (nu >= 1e-3, x <= _x_switch(nu)).
     """
     mu = complex(0.0, nu)
-    c = _reciprocal_gamma_one_plus_imag(nu)
-    coeffs = []
     powxk = 1.0
     total = 0.0j
     run = 0
     for k in range(_SERIES_CAP):
-        coeffs.append(c)
+        yield c
         term = c * powxk
         total += term
         if abs(term) < _SERIES_TINY * max(abs(total), 1e-300):
             run += 1
             if run >= 3:
-                break
+                return
         else:
             run = 0
         kk = k + 1
         c = c / (kk * (kk + mu))
         powxk *= h2_max
-    return np.array(coeffs)
 
 
 def _k_series_values(nu: float, x: np.ndarray) -> np.ndarray:
@@ -317,7 +358,7 @@ def _k_series_values(nu: float, x: np.ndarray) -> np.ndarray:
     if not half.min() > 0.0:
         _log_half(float(x.min()))  # x = 5e-324 refuses as on the scalar path
     h2 = half * half
-    coeffs = _series_coefficients(nu, float(h2.max()))
+    coeffs = np.array(list(_series_run(nu, float(h2.max()), _reciprocal_gamma_one_plus_imag(nu))))
     poly = np.full(x.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
         poly = poly * h2 + c
@@ -414,14 +455,16 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Orders 0 < nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
     the series domain of _k_eval and _k_values (else RangeError).  The array
-    form of _k_eval's series values: the terms c_k (x/2)^{2k} / c_0 of every point
-    are one cumulative product of (x/2)^2 / (k (k + i nu)), as many as
-    _series_coefficients gives at the smallest nu and the largest x, and
-    c_0 = 1/Gamma(1 + i nu); K = -pi Im[(x/2)^{i nu} sum] / sinh(pi nu), and
-    K' the same with the terms weighted by (2k + i nu)/x.  The rounding
-    differs from _i_series' running sums, so values agree with it to about
-    its error estimate, not bitwise.  A K' that overflows (x below ~1e-308)
-    raises RangeError.
+    form of _k_eval's series values, with pi |c_0| / sinh(pi nu) = |Gamma(i nu)|
+    in place of c_0 = 1/Gamma(1 + i nu):
+    K = -|Gamma(i nu)| Im[e^{i psi} S_0], K' = -|Gamma(i nu)| Im[e^{i psi} S_1],
+    psi = nu ln(x/2) - arg Gamma(1 + i nu).  The terms c_k (x/2)^{2k} / c_0
+    of S_0 are one cumulative product of (x/2)^2 / (k (k + i nu)) per point,
+    as many as _i_series sums at the smallest nu and the largest x; S_1
+    weights them by (2k + i nu)/x, and the 1/x comes last, so K' overflows
+    only where its value does (about x < 1e-308 at nu ~ 1), and then raises
+    RangeError.  The rounding differs from _i_series' running sums, so
+    values agree with it to about its error estimate, not bitwise.
     """
     nu = np.asarray(nu, dtype=float)
     nu_min = float(nu.min())
@@ -430,26 +473,30 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         _check_order(bad, allow_zero=False)  # nan, inf, above NU_MAX, 0
         raise DomainError(f"order {bad:g} must be > 0 on the series path")
     x = np.asarray(x, dtype=float)
-    x_min = float(x.min())
-    ok = x <= _x_switch(nu)
-    if not (x_min > 0.0 and ok.all()):  # nan and inf fail too
-        _check_abscissae(x)  # nan, inf, <= 0
-        bad, top = (float(np.broadcast_to(a, ok.shape)[~ok][0]) for a in (x, _x_switch(nu)))
-        raise RangeError(f"series path supports x <= {top:g} at this order, got {bad!r}")
+    x_min, x_max = (float(x.min()), float(x.max())) if x.ndim else (float(x),) * 2
+    if not (x_min > 0.0 and x_max <= _x_switch(nu_min)):  # nan fails too; the switch grows with nu
+        ok = x <= _x_switch(nu)
+        if not (x_min > 0.0 and ok.all()):
+            _check_abscissae(x)  # nan, inf, <= 0
+            bad, top = (float(np.broadcast_to(a, ok.shape)[~ok][0]) for a in (x, _x_switch(nu)))
+            raise RangeError(f"series path supports x <= {top:g} at this order, got {bad!r}")
     _log_half(x_min)  # refuses x = 5e-324
     half = 0.5 * x
-    n = len(_series_coefficients(nu_min, float(0.5 * x.max()) ** 2))
-    k = np.arange(1.0, n)
-    terms = np.cumprod((half * half)[..., None] / (k * (k + 1j * nu[..., None])), axis=-1)
+    k = np.arange(1.0, sum(1 for _c in _series_run(nu_min, (0.5 * x_max) ** 2, 1.0)))
+    # the conjugate series, of I_{-i nu}: Im of its products is -Im of the I_{i nu} ones
+    mu = -1j * nu
+    terms = np.cumprod((half * half)[..., None] / (k * (k + mu[..., None])), axis=-1)
     s0 = 1.0 + terms.sum(axis=-1)
-    sk = (terms * k).sum(axis=-1)
-    lead = _reciprocal_gamma_one_plus_imag(nu) * np.exp(1j * nu * np.log(half))  # c_0 (x/2)^(i nu)
+    xs1 = terms @ (2.0 * k) + mu * s0  # x S_1, conjugated
+    psi = nu * np.log(half) - _arg_gamma_one_plus_imag(nu)
     with np.errstate(over="ignore", invalid="ignore"):  # a K' beyond the floats is refused below
-        s1 = (2.0 * sk + 1j * nu * s0) / x  # the terms weighted by (2k + i nu)/x
-        k_dk = (-math.pi / np.sinh(math.pi * nu)) * (lead * np.stack([s0, s1])).imag
-    if not np.isfinite(k_dk).all():
+        # |Gamma(i nu)| e^{-i psi}; two roots, as nu sinh(pi nu) underflows below nu ~ 1e-154
+        lead = np.sqrt(math.pi / np.sinh(math.pi * nu)) / np.sqrt(nu) * np.exp(-1j * psi)
+        k_val = (lead * s0).imag
+        dk_val = (lead * xs1).imag / x
+    if not (np.isfinite(k_val).all() and np.isfinite(dk_val).all()):
         raise RangeError("K_(i nu)(x) or K' is not finite on the series path (x below ~1e-308)")
-    return k_dk[0], k_dk[1]
+    return k_val, dk_val
 
 
 def _k_and_dk(nu: float, x: float) -> tuple[float, float]:
@@ -547,9 +594,8 @@ def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:
     weight = nu_s * nu_s / x - x
     norm = abs(nu_s * nu_s / x) + x
     if family == "I":
-        f0, _ = _i_series(nu_s, x, 0)
-        f1, _ = _i_series(nu_s, x, 1)
-        f2, _ = _i_series(nu_s, x, 2)
+        (f0, _), (f1, _) = _i_series(nu_s, x, (0, 1))
+        ((f2, _),) = _i_series(nu_s, x, (2,))
         resid = x * f2 + f1 + weight * f0
         return abs(resid) / (norm * abs(f0))
     (k0, _), (k1, _), (k2, _) = _k_eval(nu_s, x, orders=(0, 1, 2))[0]

@@ -15,7 +15,7 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .bessel_im import _EPS, _check_order, _k_and_dk, _k_dk_series, _k_values
+from .bessel_im import _EPS, _check_order, _k_and_dk, _k_dk_series, _k_values, _log_half
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
 from .gamma_core import _TINY, _arg_gamma_imag_continuous, arg_gamma_imag
 
@@ -168,17 +168,6 @@ def _wronskian_term(nu, nup, xi, k1, d1, k2, d2):
     return -xi * (k1 * d2 - k2 * d1) / (nu * nu - nup * nup)
 
 
-def _boundary(nu: float, nup: float, xi: float, k1: float, d1: float) -> tuple[float, float]:
-    """(value, error) of the boundary term, given K_{i nu}(xi) = k1 and K'_{i nu}(xi) = d1."""
-    _check_off_diagonal(nu, nup)
-    k2, d2 = _k_and_dk(nup, xi)
-    value = _wronskian_term(nu, nup, xi, k1, d1, k2, d2)
-    den = nu * nu - nup * nup
-    # four evaluations at ~1e-12 relative; the division can amplify
-    err = 1e-11 * (abs(xi * k1 * d2) + abs(xi * k2 * d1)) / abs(den)
-    return value, err
-
-
 def kernel_boundary(pair: PairSpec) -> KernelValue:
     """Truncated integral via the Wronskian boundary term.
 
@@ -187,7 +176,11 @@ def kernel_boundary(pair: PairSpec) -> KernelValue:
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
     _check_off_diagonal(nu, nup)  # refuse before any K is evaluated
-    value, err = _boundary(nu, nup, xi, *_k_and_dk(nu, xi))
+    k1, d1 = _k_and_dk(nu, xi)
+    k2, d2 = _k_and_dk(nup, xi)
+    value = _wronskian_term(nu, nup, xi, k1, d1, k2, d2)
+    # four evaluations at ~1e-12 relative; the division can amplify
+    err = 1e-11 * (abs(xi * k1 * d2) + abs(xi * k2 * d1)) / abs(nu * nu - nup * nup)
     return KernelValue(value=value, method="boundary-term", abs_err_estimate=err)
 
 
@@ -227,10 +220,13 @@ def _panel_edges(cuts: Sequence[float], omega: float) -> np.ndarray:
     One panel per half-period pi/omega of an oscillation at angular
     frequency omega, at least one per interval.
     """
-    cuts = np.asarray(cuts, dtype=float)
-    n = np.maximum(1, np.ceil(omega * np.diff(cuts) / math.pi)).astype(int)
-    parts = [np.linspace(a, b, m + 1)[:-1] for a, b, m in zip(cuts[:-1], cuts[1:], n)]
-    return np.concatenate(parts + [cuts[-1:]])
+    cuts = [float(c) for c in cuts]
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):
+        m = max(1, math.ceil(omega * (b - a) / math.pi))
+        parts.append(np.arange(m) * ((b - a) / m) + a)  # np.linspace(a, b, m + 1)[:-1], bitwise
+    parts.append(cuts[-1:])
+    return np.concatenate(parts)
 
 
 def _gauss_kronrod(
@@ -315,7 +311,7 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
 def _asym_prefactor(nu: float, nup: float | np.ndarray) -> float | np.ndarray:
     """pi / (2 sqrt(nu nu' sinh(pi nu) sinh(pi nu'))), elementwise over an array nu'."""
     den = 2.0 * np.sqrt(nu * nup * math.sinh(math.pi * nu) * np.sinh(math.pi * nup))
-    if np.any(den == 0.0):  # nu nu' sinh(pi nu) sinh(pi nu') underflows for tiny orders
+    if (den == 0.0).any():  # nu nu' sinh(pi nu) sinh(pi nu') underflows for tiny orders
         raise DomainError(
             f"sinc-form prefactor not representable at nu = {nu:g}, nu' = {np.min(nup):g}"
         )
@@ -426,27 +422,37 @@ def diagonal_limit(nu: float, xi: float, h: float = _DIAG_STEP) -> float:
 
     # kernel_boundary's checks on the first pair come before any K is evaluated
     _check_off_diagonal(nu, PairSpec(nu, nu - h, xi).nu_prime)
-    return _richardson_diagonal(nu, xi, h, *_k_and_dk(nu, xi))
+    return _richardson_diagonal(nu, xi, h)[0]
 
 
-def _richardson_diagonal(nu: float, xi: float, h: float, k1: float, d1: float) -> float:
-    """diagonal_limit's extrapolation, given K_{i nu}(xi) = k1 and K'_{i nu}(xi) = d1."""
-    def kernel(nup: float) -> float:
-        PairSpec(nu, nup, xi)  # nu' > 0, as kernel_boundary requires
-        return _boundary(nu, nup, xi, k1, d1)[0]
+def _richardson_diagonal(nu: float, xi: float, h: float) -> tuple[float, float, float]:
+    """diagonal_limit's extrapolation, with K_{i nu}(xi) and K'_{i nu}(xi): (value, K, K').
 
-    def even_avg(step: float) -> float:
-        return 0.5 * (kernel(nu - step) + kernel(nu + step))
-
-    l1 = even_avg(h)
-    l2 = even_avg(0.5 * h)
+    K and K' at nu and at the four orders nu -+ h, nu -+ h/2 come from one
+    array call.  Its refusals come first, in the order in which K at nu and
+    then kernel_boundary on each pair would meet them.
+    """
+    nups = (nu - h, nu + h, nu - 0.5 * h, nu + 0.5 * h)
+    _check_order(nu)
+    _log_half(xi)
+    for nup in nups:
+        if not nup > 0.0:  # nan too
+            PairSpec(nu, nup, xi)  # raises kernel_boundary's refusal of nu' <= 0
+        _check_off_diagonal(nu, nup)
+        _check_order(nup)
+    orders = np.array((nu, *nups))
+    k, dk = _k_dk_series(orders, xi)
+    k1, d1 = float(k[0]), float(dk[0])
+    kernel = _wronskian_term(nu, orders[1:], xi, k1, d1, k[1:], dk[1:]).tolist()
+    l1 = 0.5 * (kernel[0] + kernel[1])
+    l2 = 0.5 * (kernel[2] + kernel[3])
     rich = (4.0 * l2 - l1) / 3.0
     if abs(rich - l2) > 1.0e-6 * max(abs(rich), 1.0e-300):
         raise ConvergenceError(
             f"diagonal extrapolation disagreement {abs(rich - l2):.3g}",
             estimate=rich,
         )
-    return rich
+    return rich, k1, d1
 
 
 def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
@@ -456,13 +462,18 @@ def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
     One adaptive G7K15 over nu', each sweep evaluating K and K' at xi for
     all its nodes in one series (bessel_im._k_dk_series); the first sweep
     has about one panel per half-period of the kernel on each side of nu.
+    K and K' at nu come from the diagonal limit's call when nu is inside
+    the support, else from a call of their own.
     """
     lo, hi = phi.support()
     lo = max(lo, 1.0e-2)
     if hi <= lo:
         raise DomainError("test function support does not intersect nu' > 0")
-    k1, d1 = _k_and_dk(nu, xi)
-    diag = _richardson_diagonal(nu, xi, _DIAG_STEP, k1, d1) if lo < nu < hi else None
+    if lo < nu < hi:
+        diag, k1, d1 = _richardson_diagonal(nu, xi, _DIAG_STEP)
+    else:
+        diag = None
+        k1, d1 = (float(v) for v in _k_dk_series(nu, xi))
 
     def integrand(nup: np.ndarray) -> np.ndarray:
         k2, d2 = _k_dk_series(nup, xi)
@@ -471,6 +482,8 @@ def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
             _check_off_diagonal(nu, float(nup[np.argmin(gap)]))
             return _wronskian_term(nu, nup, xi, k1, d1, k2, d2) * phi(nup)
         far = gap >= _DIAG_WINDOW
+        if far.all():  # as nodes almost always are
+            return _wronskian_term(nu, nup, xi, k1, d1, k2, d2) * phi(nup)
         out = np.full(nup.shape, diag)
         out[far] = _wronskian_term(nu, nup[far], xi, k1, d1, k2[far], d2[far])
         return out * phi(nup)

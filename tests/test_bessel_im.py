@@ -31,6 +31,7 @@ from macdonald.bessel_im import (
     _k_eval,
     _k_series,
     _k_values,
+    _phase_err,
     _x_switch,
 )
 
@@ -133,10 +134,10 @@ class TestBesselK:
             besselk_imag(51.0, 1.0)
 
 
-class TestFusedCore:
+class TestScalarCore:
     def test_bitwise_equal_to_two_series_combination(self):
-        # one I_{i nu} series per order gives K, K' and K'' with the bits and
-        # error estimates of the (I_{-i nu} - I_{i nu}) combination at that order
+        # one I_{i nu} series pass for K and K', one for K'', give the bits and error
+        # estimates of the (I_{-i nu} - I_{i nu}) combination at each order
         for nu in np.geomspace(0.05, 50.0, 25):
             for x in np.geomspace(1e-6, 2.0, 25):
                 nu, x = float(nu), float(x)
@@ -198,7 +199,7 @@ class TestArrayCore:
 
 
 class TestArraySeries:
-    def test_agrees_with_fused_core(self):
+    def test_agrees_with_scalar_core(self):
         # the two routes round differently, each by about the error estimate,
         # so they can differ by up to twice it (1.4 times at most on this grid)
         nus = np.geomspace(1e-2, 50.0, 30)
@@ -211,7 +212,7 @@ class TestArraySeries:
                 assert abs(k[i, j] - kf) <= 2.0 * k_err, (nu, x)
                 assert abs(dk[i, j] - dkf) <= 2.0 * dk_err, (nu, x)
 
-    def test_agrees_with_fused_core_up_to_the_switch(self):
+    def test_agrees_with_scalar_core_up_to_the_switch(self):
         # the series domain of _k_eval: x <= 2 at nu <= 2, x <= nu up to 30
         nus = np.geomspace(1e-2, 50.0, 30)
         xs = np.geomspace(1e-8, 30.0, 40)
@@ -227,6 +228,22 @@ class TestArraySeries:
     def test_order_out_of_range_rejected(self, nu):
         with pytest.raises(DomainError):
             _k_dk_series(np.array([1.0, nu]), 0.5)
+
+    @pytest.mark.parametrize("nu", [12.0, 20.0])
+    def test_derivative_kept_where_representable(self, nu):
+        # |Gamma(i nu)| scales the sums before the 1/x of K': K' ~ 5e292 and 2.5e287
+        # here, where the scalar path overflows I' ~ e^{pi nu / 2} / x.  At nu = 20, K
+        # sits near a zero (0.06 of its local amplitude), where the rounding of the
+        # phase nu ln(x/2) ~ -13 830 alone is 1.6e-11 of K; the scalar estimate's
+        # phase term (_phase_err) bounds it there
+        x = 1e-300
+        k, dk = _k_dk_series(nu, x)
+        k_ref, dk_ref = oracles.k_dk_besselk_ref(nu, x)
+        amp = math.sqrt(k_ref**2 + (x * dk_ref) ** 2 / (nu * nu + x * x))
+        assert abs(k - k_ref) <= max(1e-12 * abs(k_ref), _phase_err(nu, math.log(x / 2)) * amp)
+        assert abs(dk - dk_ref) <= 1e-12 * abs(dk_ref)
+        with pytest.raises(RangeError):
+            besselk_dx(nu, x)
 
     @pytest.mark.parametrize("x", [2.5, 0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310])
     def test_abscissa_out_of_range_rejected(self, x):

@@ -16,6 +16,7 @@ from scipy import special as sc
 
 from macdonald.gamma_core import (
     _arg_gamma_imag_continuous,
+    _arg_gamma_one_plus_imag,
     _reciprocal_gamma_one_plus_imag,
     log_gamma,
     reciprocal_gamma,
@@ -120,23 +121,37 @@ def test_reciprocal_gamma_one_plus_imag_against_mpmath():
     with mp.workdps(40):
         ref = np.array([complex(mp.rgamma(mp.mpc(1, v))) for v in nus])
         log_ref = np.array([abs(complex(mp.loggamma(mp.mpc(1, v)))) for v in nus])
-    for got in (
-        _reciprocal_gamma_one_plus_imag(nus),
-        np.array([_reciprocal_gamma_one_plus_imag(float(v)) for v in nus]),
-    ):
-        rel = np.abs(got / ref - 1.0)
-        assert rel[nus <= 10.0].max() <= 1e-14
-        # beyond: the phase Im log Gamma(1 + i nu) ~ nu ln nu - nu reaches ~145 at nu = 50,
-        # and its ulp alone is then 2.8e-14 of the value
-        assert np.all(rel <= 1e-14 * np.maximum(1.0, log_ref))
+    got = np.array([_reciprocal_gamma_one_plus_imag(float(v)) for v in nus])
+    rel = np.abs(got / ref - 1.0)
+    assert rel[nus <= 10.0].max() <= 1e-14
+    # beyond: the phase Im log Gamma(1 + i nu) ~ nu ln nu - nu reaches ~145 at nu = 50,
+    # and its ulp alone is then 2.8e-14 of the value
+    assert np.all(rel <= 1e-14 * np.maximum(1.0, log_ref))
     assert _reciprocal_gamma_one_plus_imag(0.0) == 1.0
     assert _reciprocal_gamma_one_plus_imag(-0.7) == _reciprocal_gamma_one_plus_imag(0.7).conjugate()
 
 
 def test_float_and_array_forms_agree():
-    # bessel_im's scalar series takes c_0 from the float form, its array series from
-    # the array form; the two must not differ by the ulps of the phase ~ nu ln nu
+    # bessel_im's scalar series takes c_0 = 1/Gamma(1 + i nu) from the float form, its
+    # array series the phase -arg Gamma(1 + i nu) from the array form; the two phases
+    # must not differ by more than the ulps of their parts.  Near nu = 1.7 the phase
+    # passes through 0 while its two parts stay ~3.6, hence max(1, |phase|).
     nus = np.random.default_rng(10).uniform(1e-3, 50.0, 2000)
-    array = _reciprocal_gamma_one_plus_imag(nus)
-    floats = np.array([_reciprocal_gamma_one_plus_imag(float(v)) for v in nus])
-    assert np.abs(array / floats - 1.0).max() <= 2e-15
+    array = _arg_gamma_one_plus_imag(nus)
+    floats = np.array([cmath.phase(_reciprocal_gamma_one_plus_imag(float(v))) for v in nus])
+    gap = np.remainder(array + floats + math.pi, 2.0 * math.pi) - math.pi  # -arg vs arg, mod 2 pi
+    assert np.all(np.abs(gap) <= 2e-15 * np.maximum(1.0, np.abs(array)))
+    # tiny orders, where pi/2 + arg Gamma(i nu) would cancel: relative to the phase itself
+    tiny = 10.0 ** np.random.default_rng(11).uniform(-300.0, -3.0, 200)
+    floats = np.array([cmath.phase(_reciprocal_gamma_one_plus_imag(float(v))) for v in tiny])
+    assert np.all(np.abs(_arg_gamma_one_plus_imag(tiny) + floats) <= 2e-15 * np.abs(floats))
+
+
+def test_array_phase_against_mpmath():
+    rng = np.random.default_rng(12)
+    nus = np.concatenate([10.0 ** rng.uniform(-300.0, -3.0, 30), rng.uniform(1e-3, 50.0, 300)])
+    with mp.workdps(40):
+        ref = np.array([float(mp.loggamma(mp.mpc(1, v)).imag) for v in nus])  # unwrapped
+    # relative up to nu = 1, where the phase is about -0.58 nu; beyond, it passes through 0
+    scale = np.where(nus <= 1.0, np.abs(ref), np.maximum(1.0, np.abs(ref)))
+    assert np.all(np.abs(_arg_gamma_one_plus_imag(nus) - ref) <= 1e-14 * scale)
