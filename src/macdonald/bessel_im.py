@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .gamma_core import (
+    _TINY,
     _arg_gamma_one_plus_imag,
     _reciprocal_gamma_one_plus_imag,
     abs_gamma_imag,
@@ -122,18 +123,13 @@ def _phase_err(nu: float, log_half: float) -> float:
     return 2.0 * _EPS * nu * (abs(log_half) + abs(math.log(nu)) + 1.0) if nu else 0.0
 
 
-def _i_series(
-    nu_signed: float, x: float, orders: tuple[int, ...] = (0,)
-) -> list[tuple[complex, float]]:
-    """Termwise series for I_{i*nu_signed}(x) and its x-derivatives.
+def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, float]:
+    """Termwise series for I_{i*nu_signed}(x) or its x-derivatives.
 
-    Returns [(value, absolute error estimate) for each derivative order in
-    `orders`]: (d,) with d in {0, 1, 2}, or (0, 1).  The k-th term of I is
-    c_k * (x/2)^(2k + i nu); differentiation multiplies it by falling
-    powers of m = 2k + i nu over x.  A (0, 1) pass sums I and I' over the
-    same c_k (x/2)^(2k), with one c_0, (x/2)^{i nu} and phase error; each
-    sum keeps its own stopping rule, so each result is bitwise what a
-    pass for its order alone gives.
+    Returns (value, absolute error estimate).  deriv in {0, 1, 2}.
+    The k-th term of I is c_k * (x/2)^(2k + i nu); differentiation
+    multiplies it by falling powers of m = 2k + i nu over x.  Each pass
+    sums one derivative order with one stopping rule.
     """
     mu = complex(0.0, nu_signed)  # the order i*nu
     half = 0.5 * x
@@ -141,43 +137,18 @@ def _i_series(
     # (x/2)^{i nu} = exp(i nu ln(x/2)); no branch ambiguity for x > 0
     prefactor = cmath.exp(mu * log_half)
     h2 = half * half
-    pair = len(orders) == 2
-    deriv = 3 if pair else orders[0]  # 3: the (0, 1) pass, which sums I' next to I
 
     c = _reciprocal_gamma_one_plus_imag(nu_signed)  # c_0 = 1/Gamma(1 + i nu)
     powxk = 1.0  # (x/2)^{2k}
-    total = total1 = 0.0j
-    max_mag = max1 = 0.0
-    last_term_mag = last1 = 0.0
-    small_run = 0  # a sum ends after three terms below _SERIES_TINY of it
-    run1 = 0 if pair else 3  # the I' sum, with the same rule; 3: none
+    total = 0.0j
+    max_mag = 0.0
+    small_run = 0  # the sum ends after three terms below _SERIES_TINY of it
+    last_term_mag = 0.0
     for k in range(_SERIES_CAP):
         term = c * powxk
         if deriv:
             m = 2.0 * k + mu
-            if deriv == 1:
-                term *= m / x
-            elif deriv == 2:
-                term *= m * (m - 1.0) / (x * x)
-            else:
-                if run1 < 3:
-                    term1 = term * (m / x)
-                    total1 += term1
-                    last1 = abs(term1)
-                    if last1 > max1:
-                        max1 = last1
-                    ref = abs(total1)
-                    if last1 < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
-                        run1 += 1
-                    else:
-                        run1 = 0
-                if small_run >= 3:  # the I sum ended: I' goes on alone
-                    if run1 >= 3:
-                        break
-                    kk = k + 1
-                    c = c / (kk * (kk + mu))
-                    powxk *= h2
-                    continue
+            term *= m / x if deriv == 1 else m * (m - 1.0) / (x * x)
         total += term
         last_term_mag = abs(term)
         if last_term_mag > max_mag:
@@ -185,21 +156,16 @@ def _i_series(
         ref = abs(total)  # max(|total|, 1e-300), inlined
         if last_term_mag < _SERIES_TINY * (ref if ref >= 1e-300 else 1e-300):
             small_run += 1
-            if small_run >= 3 and run1 >= 3:
+            if small_run >= 3:
                 break
         else:
             small_run = 0
         kk = k + 1
         c = c / (kk * (kk + mu))
         powxk *= h2
-    phase_err = _phase_err(nu_signed, log_half)
-    mag = abs(prefactor)
     value = prefactor * total
-    out = [(value, mag * (last_term_mag + _EPS * max_mag) + phase_err * abs(value))]
-    if pair:
-        value = prefactor * total1
-        out.append((value, mag * (last1 + _EPS * max1) + phase_err * abs(value)))
-    return out
+    phase_err = _phase_err(nu_signed, log_half)
+    return value, abs(prefactor) * (last_term_mag + _EPS * max_mag) + phase_err * abs(value)
 
 
 def besseli_imag(nu: float, x: float, sign: int = +1) -> FunctionValue:
@@ -212,7 +178,7 @@ def besseli_imag(nu: float, x: float, sign: int = +1) -> FunctionValue:
         )
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
-    ((value, err),) = _i_series(sign * nu, x)
+    value, err = _i_series(sign * nu, x)
     return FunctionValue(value=value, abs_err_estimate=err, method="series-combination")
 
 
@@ -221,8 +187,8 @@ def _k_series(nu: float, x: float, deriv: int = 0) -> tuple[float, float, float]
 
     Returns (real value, error estimate, relative imaginary residue).
     """
-    ((ip, errp),) = _i_series(+nu, x, (deriv,))
-    ((im, errm),) = _i_series(-nu, x, (deriv,))
+    ip, errp = _i_series(+nu, x, deriv)
+    im, errm = _i_series(-nu, x, deriv)
     s = math.sinh(math.pi * nu)
     comb = (math.pi / 2j) * (im - ip) / s
     mag = abs(comb)
@@ -274,20 +240,19 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
     return sign * prev, last_change + tail + _EPS * abs(prev)
 
 
-def _k_from_i(nu: float, x: float, orders: tuple[int, ...]) -> list[tuple[float, float]]:
-    """K_{i nu}(x) or x-derivatives, each with its error, from one pass over the I_{i nu} series.
+def _k_from_i(nu: float, x: float, deriv: int) -> tuple[float, float]:
+    """K_{i nu}(x) or an x-derivative, and its error, from one pass over the I_{i nu} series.
 
-    orders as in _i_series.  Bitwise equal to _k_series at each order.
-    For real x, I_{-i nu}(x) = conj I_{i nu}(x), and the two series come
-    out as exact conjugates in binary64, so the combination reduces to
+    Bitwise equal to _k_series at the same order.  For real x,
+    I_{-i nu}(x) = conj I_{i nu}(x), and the two series come out as exact
+    conjugates in binary64, so the combination reduces to
     K = -pi Im I_{i nu} / sinh(pi nu) and its error to
     (pi / sinh(pi nu)) (err + eps |I|), err with _i_series' phase terms.
     """
+    i, err = _i_series(nu, x, deriv)
     s = math.sinh(math.pi * nu)
-    scale = math.pi / s
     # 0 - pi Im I, the real part of (pi/2i)(conj I - I): Im I = 0 gives +0.0
-    return [((0.0 - math.pi * i.imag) / s, scale * (err + _EPS * abs(i)))
-            for i, err in _i_series(nu, x, orders)]
+    return (0.0 - math.pi * i.imag) / s, (math.pi / s) * (err + _EPS * abs(i))
 
 
 def _k_eval(
@@ -297,22 +262,20 @@ def _k_eval(
 
     Returns [(value, error) for each derivative order in `orders`] and
     the method tag.  The series path is the I-combination for
-    x <= _x_switch(nu), one I_{i nu} series pass for K and K' together
-    and one for K''; the integral
-    representation serves larger x and always nu = 0, where the
-    combination is a 0/0 form.  A value that overflows (K' below
-    x ~ 1e-308) raises RangeError.
+    x <= _x_switch(nu), one I_{i nu} series pass per order; the integral
+    representation serves larger x and always |nu| < _TINY (0 and the
+    subnormal orders), where the combination is a 0/0 form: there
+    cos(nu t) = 1, so the value is K_0's bitwise.  A value that overflows
+    (K' below x ~ 1e-308) raises RangeError.
     """
     nu = abs(_check_order(nu))  # K_{i nu} = K_{-i nu} structurally
     x = _check_abscissa(x)
-    if method == "series" and nu == 0.0:
+    if method == "series" and nu < _TINY:
         raise DomainError("nu = 0 is a 0/0 form on the series-combination path")
     if method == "series" and x > X_SERIES_MAX:
         raise RangeError(f"series path supports x <= {X_SERIES_MAX:g}")
-    if method == "series" or (method == "auto" and nu != 0.0 and x <= _x_switch(nu)):
-        values = _k_from_i(nu, x, orders[:2])
-        if len(orders) > 2:  # K'' (ode_residual) takes a pass of its own
-            values += _k_from_i(nu, x, orders[2:])
+    if method == "series" or (method == "auto" and nu >= _TINY and x <= _x_switch(nu)):
+        values = [_k_from_i(nu, x, d) for d in orders]
         tag: Method = "series-combination"
     else:
         values, tag = [_k_integral(nu, x, d) for d in orders], "integral-representation"
@@ -426,7 +389,7 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     """K_{i nu}(x) for every nu in nus at every x, values only: shape (len(x), len(nus)).
 
     The array form of _k_eval's automatic path, with the same checks and
-    the same switch: series for x <= _x_switch(nu) and nu != 0, the
+    the same switch: series for x <= _x_switch(nu) and |nu| >= _TINY, the
     integral representation elsewhere.  One trapezoid grid serves every
     x beyond the lowest switch, for each order with an x beyond its own;
     the series then overwrites the values below each order's switch.  The
@@ -437,7 +400,7 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     orders = [abs(_check_order(float(nu))) for nu in nus]
     x = _check_abscissae(x)
     out = np.empty((x.size, len(orders)))
-    switch = [_x_switch(nu) if nu != 0.0 else 0.0 for nu in orders]  # x <= 0 never holds
+    switch = [_x_switch(nu) if nu >= _TINY else 0.0 for nu in orders]  # x <= 0 never holds
     integral = x > min(switch)
     if integral.any():
         top = x[integral].max()
@@ -453,7 +416,7 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
 def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K_{i nu}(x) and K'_{i nu}(x) elementwise over broadcast arrays nu and x, on the series path.
 
-    Orders 0 < nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
+    Orders _TINY <= nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
     the series domain of _k_eval and _k_values (else RangeError).  The array
     form of _k_eval's series values, with pi |c_0| / sinh(pi nu) = |Gamma(i nu)|
     in place of c_0 = 1/Gamma(1 + i nu):
@@ -468,9 +431,10 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     nu = np.asarray(nu, dtype=float)
     nu_min = float(nu.min())
-    if not (nu_min > 0.0 and nu.max() <= NU_MAX):  # nan fails too
-        bad = float(nu[~((nu > 0.0) & (nu <= NU_MAX))].flat[0])
-        _check_order(bad, allow_zero=False)  # nan, inf, above NU_MAX, 0
+    if not (nu_min >= _TINY and nu.max() <= NU_MAX):  # nan fails too
+        bad = float(nu[~((nu >= _TINY) & (nu <= NU_MAX))].flat[0])
+        # nan, inf, above NU_MAX; 0 and subnormal orders as on the scalar series path
+        _check_order(0.0 if abs(bad) < _TINY else bad, allow_zero=False)
         raise DomainError(f"order {bad:g} must be > 0 on the series path")
     x = np.asarray(x, dtype=float)
     x_min, x_max = (float(x.min()), float(x.max())) if x.ndim else (float(x),) * 2
@@ -594,8 +558,7 @@ def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:
     weight = nu_s * nu_s / x - x
     norm = abs(nu_s * nu_s / x) + x
     if family == "I":
-        (f0, _), (f1, _) = _i_series(nu_s, x, (0, 1))
-        ((f2, _),) = _i_series(nu_s, x, (2,))
+        f0, f1, f2 = (_i_series(nu_s, x, d)[0] for d in (0, 1, 2))
         resid = x * f2 + f1 + weight * f0
         return abs(resid) / (norm * abs(f0))
     (k0, _), (k1, _), (k2, _) = _k_eval(nu_s, x, orders=(0, 1, 2))[0]

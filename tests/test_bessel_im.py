@@ -300,6 +300,34 @@ class TestSubnormalAbscissa:
         assert besselk_dx(0.0, 1e-300).value == pytest.approx(-1e300, rel=1e-12)  # -K_1(x) ~ -1/x
 
 
+class TestSubnormalOrder:
+    # below the smallest normal float the I-combination is a 0/0 form in binary64,
+    # as at nu = 0; cos(nu t) = 1 on the integral path, so K is K_0 bitwise
+    XS = [1e-300, 1e-3, 1.0, 1.9]
+
+    @pytest.mark.parametrize("nu", [5e-324, 1e-310, -1e-310])
+    def test_values_are_those_of_order_zero(self, nu):
+        for x in self.XS:
+            for f in (besselk_imag, besselk_dx):
+                assert f(nu, x) == f(0.0, x), (f.__name__, nu, x)
+        assert besselk_imag(nu, 1.0).value == pytest.approx(0.42102443824070834, rel=1e-15)
+        values = _k_values([nu, 0.0, 1.0], np.array(self.XS + [3.0]))
+        assert np.array_equal(values[:, 0], values[:, 1])
+
+    @pytest.mark.parametrize("nu", [5e-324, 1e-310])
+    def test_series_path_refuses_them_as_order_zero(self, nu):
+        with pytest.raises(DomainError) as scalar:
+            besselk_imag(nu, 1.0, method="series")
+        with pytest.raises(DomainError) as zero:
+            besselk_imag(0.0, 1.0, method="series")
+        assert str(scalar.value) == str(zero.value)
+        with pytest.raises(DomainError) as array:
+            _k_dk_series(np.array([nu, 1.0]), 1.0)
+        with pytest.raises(DomainError) as array_zero:
+            _k_dk_series(np.array([0.0, 1.0]), 1.0)
+        assert str(array.value) == str(array_zero.value)
+
+
 class TestSeriesEstimate:
     def test_error_within_estimate_against_mpmath(self):
         # 30-digit references at small x, where the phase nu ln(x/2) is

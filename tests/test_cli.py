@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from macdonald import TestFunctionSpec
+from macdonald import FunctionValue, TestFunctionSpec, besselk_imag
 from macdonald.cli import build_parser, main
 
 SCHEMA = json.loads(
@@ -62,10 +62,22 @@ class TestEval:
         code = main(["eval", "--nu", nu, "--x", x])
         assert code == 2 and reason in capsys.readouterr().err
 
-    def test_infinite_error_estimate_is_no_pass(self, capsys):
-        code, doc = run_cli_json(["eval", "--nu", "1e-310", "--x", "1"], capsys)
+    def test_infinite_error_estimate_is_no_pass(self, capsys, monkeypatch):
+        import macdonald.cli as cli
+
+        # injected: subnormal orders, which gave one, now take the nu = 0 route
+        fv = FunctionValue(besselk_imag(1.0, 1.0).value, math.inf, "series-combination")
+        monkeypatch.setattr(cli, "besselk_imag", lambda nu, x: fv)
+        code, doc = run_cli_json(["eval", "--nu", "1", "--x", "1"], capsys)
         assert math.isinf(doc["rows"][0]["abs_err_estimate"])
         assert code == 1 and doc["pass"] is False
+
+    def test_subnormal_order_takes_the_order_zero_route(self, capsys):
+        code, doc = run_cli_json(["eval", "--nu", "5e-324", "--x", "1"], capsys)
+        row = doc["rows"][0]
+        assert row["value"] == besselk_imag(0.0, 1.0).value  # K_0(1) = 0.42102443824070834
+        assert row["method"] == "integral-representation"
+        assert code == 0 and doc["pass"] is True
 
 
 class TestGamma:
