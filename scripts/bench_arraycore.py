@@ -11,8 +11,10 @@ to op, so the two times of a pair are milliseconds apart and a drift in
 host speed (up to 40 % here, for seconds at a time) touches both alike.
 Inputs differ in cost by decades, so the result is the after/before ratio
 of each pair: the JSON holds, per workload, its median and quartiles, the
-pairs the after side won, the summed milliseconds of each side, and
-whether the two sides returned identical outputs.  It also holds the
+pairs the after side won, the summed milliseconds of each side, whether
+the two sides returned identical outputs, and the largest absolute
+difference between their output numbers (inf where the outputs differ in
+anything but numbers, such as an error on one side).  It also holds the
 microseconds per call of the scalar and the length-1 array K at
 (nu, x) = (1, 0.5) on the AFTER side, and the CPU count.
 """
@@ -29,6 +31,7 @@ import importlib
 import importlib.util
 import itertools
 import json
+import math
 import platform
 import statistics
 import sys
@@ -55,6 +58,20 @@ def load_module(name: str, path: str, package_dir: str | None = None):
 def load_package(root: str, name: str):
     package_dir = os.path.join(root, "src", "macdonald")
     return load_module(name, os.path.join(package_dir, "__init__.py"), package_dir)
+
+
+def max_abs_diff(a, b) -> float:
+    """Largest |a - b| over the numbers of two outputs of the same shape; inf where they differ otherwise."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((max_abs_diff(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((max_abs_diff(x, y) for x, y in zip(a, b)), default=0.0)
+    if a == b:
+        return 0.0
+    if isinstance(a, float) and isinstance(b, float):
+        d = abs(a - b)
+        return d if d == d else math.inf  # a nan on either side
+    return math.inf
 
 
 def per_call_us(fn, number: int = 2000) -> float:
@@ -100,7 +117,7 @@ def main() -> int:
     for name in WORKLOADS:
         w = workloads.WORKLOADS[name]
         ms = {side: [] for side in sides}
-        identical = True
+        identical, diff = True, 0.0
         for i, inp in enumerate(itertools.islice(workloads.stream(w, args.seed), args.ops)):
             outputs = {}
             for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
@@ -108,6 +125,7 @@ def main() -> int:
                 outputs[side] = w.run(sides[side], inp)
                 ms[side].append((time.perf_counter() - t0) * 1e3)
             identical = identical and outputs["before"] == outputs["after"]
+            diff = max(diff, max_abs_diff(outputs["before"], outputs["after"]))
         ratios = [a / b for a, b in zip(ms["after"], ms["before"])]
         report["workloads"][name] = {
             "after_over_before_median": statistics.median(ratios),
@@ -115,6 +133,7 @@ def main() -> int:
             "pairs_after_faster": sum(r < 1.0 for r in ratios),
             "total_ms": {side: sum(v) for side, v in ms.items()},
             "outputs_identical": identical,
+            "max_abs_output_diff": diff,
         }
     report["us_per_call_after"] = length_one_timing(sides["after"])
     json.dump(report, sys.stdout, indent=2)

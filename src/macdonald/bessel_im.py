@@ -496,7 +496,8 @@ def besselk_dx(
 
 def combination_imag_residue(nu: float, x: float) -> float:
     """Relative imaginary residue of the I-combination before it is discarded."""
-    nu = abs(_check_order(nu, allow_zero=False))
+    # subnormal orders make the same 0/0 form as nu = 0 in binary64 and are refused alike
+    nu = abs(_check_order(0.0 if abs(nu) < _TINY else nu, allow_zero=False))
     x = _check_abscissa(x)
     if x > X_SERIES_MAX:
         raise RangeError(f"series path supports x <= {X_SERIES_MAX:g}")

@@ -234,17 +234,20 @@ def _gauss_kronrod(
     edges: np.ndarray,
     epsabs: float,
     epsrel: float,
-) -> tuple[float, float]:
+) -> tuple[list[float], list[float]]:
     """Adaptive G7K15 of f over (edges[0], edges[-1]), starting from the panels between the edges.
 
-    Each sweep evaluates f once, at the 15 nodes of every pending panel.
-    A panel's error is max(|K15 - G7|, 50 eps r sum w|f|), the second term
-    QUADPACK's roundoff floor.  The sweeps stop once the summed error is
-    within max(epsabs, epsrel |value|); until then each panel within its
-    share of that tolerance (by width) is accepted and the rest are
-    bisected, the worst first, as long as the bisections number at most
-    _GK_LIMIT in all; the panels between the edges do not count.
-    Returns (value, summed error estimate) as Python floats.
+    f maps N nodes to N values, or to m components of N values each, shape
+    (m, N); the components share every panel.  Each sweep evaluates f once,
+    at the 15 nodes of every pending panel.  A panel's error in a component
+    is max(|K15 - G7|, 50 eps r sum w|f|), the second term QUADPACK's
+    roundoff floor.  The sweeps stop once every component's summed error is
+    within its tolerance max(epsabs, epsrel |value|); until then a panel
+    within its share of each component's tolerance (by width) is accepted
+    and the rest are bisected, the worst relative to its tolerance first, as
+    long as the bisections number at most _GK_LIMIT in all; the panels
+    between the edges do not count.  Returns (values, summed error
+    estimates), one Python float per component.
     """
     lo, hi = edges[:-1], edges[1:]
     length = edges[-1] - edges[0]
@@ -253,23 +256,26 @@ def _gauss_kronrod(
     while True:
         centre, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
         fx = f((centre[:, None] + r[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
-        kg = r[:, None] * (fx @ _GK_WEIGHTS)
-        floor = 50.0 * _EPS * r * (np.abs(fx) @ _GK_WEIGHTS[:, 0])
-        err = np.maximum(np.abs(kg[:, 0] - kg[:, 1]), floor)
-        value = done_value + float(kg[:, 0].sum())
-        total_err = done_err + float(err.sum())
-        tol = max(epsabs, epsrel * abs(value))
-        if total_err <= tol:
+        kg = r[:, None] * (fx @ _GK_WEIGHTS).reshape(-1, r.size, 2)  # (m, panels, K15 | G7)
+        k15 = kg[..., 0]
+        floor = 50.0 * _EPS * r * (np.abs(fx) @ _GK_WEIGHTS[:, 0]).reshape(-1, r.size)
+        err = np.maximum(np.abs(k15 - kg[..., 1]), floor)
+        value = (done_value + k15.sum(axis=1)).tolist()
+        total_err = (done_err + err.sum(axis=1)).tolist()
+        tol = [max(epsabs, epsrel * abs(v)) for v in value]
+        if all(e <= t for e, t in zip(total_err, tol)):
             return value, total_err
-        ok = err <= tol * (hi - lo) / length
-        worst = np.flatnonzero(~ok)[np.argsort(-err[~ok], kind="stable")]
-        keep = ok.copy()
-        keep[worst[limit:]] = True
-        done_value += float(kg[keep, 0].sum())
-        done_err += float(err[keep].sum())
-        split = worst[:limit]
+        excess = err[0]  # each panel's worst error, on the scale of the first tolerance
+        for j in range(1, len(tol)):
+            excess = np.maximum(excess, err[j] * (tol[0] / tol[j]))
+        bad = np.flatnonzero(~(excess <= tol[0] * (hi - lo) / length))  # nan too
+        split = bad[np.argsort(-excess[bad], kind="stable")][:limit]
+        keep = np.ones(r.size, dtype=bool)
+        keep[split] = False
+        done_value += k15[:, keep].sum(axis=1)
+        done_err += err[:, keep].sum(axis=1)
         if not split.size:
-            return done_value, done_err
+            return done_value.tolist(), done_err.tolist()
         limit -= split.size
         lo = np.concatenate([lo[split], centre[split]])
         hi = np.concatenate([centre[split], hi[split]])
@@ -298,7 +304,7 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
         return k[:, 0] * k[:, 1]
 
     edges = _panel_edges([math.log(xi), math.log(upper)], nu + nup)
-    total, err = _gauss_kronrod(product, edges, 0.5 * quad.abs_tol, quad.rel_tol)
+    (total,), (err,) = _gauss_kronrod(product, edges, 0.5 * quad.abs_tol, quad.rel_tol)
     err += (math.pi / (4.0 * upper * upper)) * math.exp(-2.0 * upper)
     if err > 10.0 * (quad.abs_tol + quad.rel_tol * abs(total)):
         raise ConvergenceError(
@@ -422,58 +428,72 @@ def diagonal_limit(nu: float, xi: float, h: float = _DIAG_STEP) -> float:
 
     # kernel_boundary's checks on the first pair come before any K is evaluated
     _check_off_diagonal(nu, PairSpec(nu, nu - h, xi).nu_prime)
-    return _richardson_diagonal(nu, xi, h)[0]
+    return float(_richardson_diagonal(nu, xi, h)[0])
 
 
-def _richardson_diagonal(nu: float, xi: float, h: float) -> tuple[float, float, float]:
+def _richardson_diagonal(
+    nu: float, xi: float | np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """diagonal_limit's extrapolation, with K_{i nu}(xi) and K'_{i nu}(xi): (value, K, K').
 
-    K and K' at nu and at the four orders nu -+ h, nu -+ h/2 come from one
-    array call.  Its refusals come first, in the order in which K at nu and
-    then kernel_boundary on each pair would meet them.
+    xi is one cutoff, or a column of them, shape (m, 1); each of the three
+    results then has shape (m,).  K and K' at nu and at the four orders
+    nu -+ h, nu -+ h/2 at every cutoff come from one array call.  Its
+    refusals come first, in the order in which K at nu and then
+    kernel_boundary on each pair would meet them.
     """
     nups = (nu - h, nu + h, nu - 0.5 * h, nu + 0.5 * h)
+    xi_min = float(np.min(xi))
     _check_order(nu)
-    _log_half(xi)
+    _log_half(xi_min)
     for nup in nups:
         if not nup > 0.0:  # nan too
-            PairSpec(nu, nup, xi)  # raises kernel_boundary's refusal of nu' <= 0
+            PairSpec(nu, nup, xi_min)  # raises kernel_boundary's refusal of nu' <= 0
         _check_off_diagonal(nu, nup)
         _check_order(nup)
     orders = np.array((nu, *nups))
     k, dk = _k_dk_series(orders, xi)
-    k1, d1 = float(k[0]), float(dk[0])
-    kernel = _wronskian_term(nu, orders[1:], xi, k1, d1, k[1:], dk[1:]).tolist()
-    l1 = 0.5 * (kernel[0] + kernel[1])
-    l2 = 0.5 * (kernel[2] + kernel[3])
+    kernel = _wronskian_term(nu, orders[1:], xi, k[..., :1], dk[..., :1], k[..., 1:], dk[..., 1:])
+    l1 = 0.5 * (kernel[..., 0] + kernel[..., 1])
+    l2 = 0.5 * (kernel[..., 2] + kernel[..., 3])
     rich = (4.0 * l2 - l1) / 3.0
-    if abs(rich - l2) > 1.0e-6 * max(abs(rich), 1.0e-300):
+    gap = np.abs(rich - l2)
+    bad = gap > 1.0e-6 * np.maximum(np.abs(rich), 1.0e-300)
+    if bad.any():
+        first = np.argmax(bad)
         raise ConvergenceError(
-            f"diagonal extrapolation disagreement {abs(rich - l2):.3g}",
-            estimate=rich,
+            f"diagonal extrapolation disagreement {gap.flat[first]:.3g}",
+            estimate=float(rich.flat[first]),
         )
-    return rich, k1, d1
+    return rich, k[..., 0], dk[..., 0]
 
 
-def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
-    """int kernel(nu, nu', xi) phi(nu') dnu' with the near-diagonal window
-    replaced by the diagonal limit.
+def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> list[float]:
+    """int kernel(nu, nu', xi) phi(nu') dnu' at each cutoff xi in xis, with the
+    near-diagonal window replaced by the diagonal limit.
 
-    One adaptive G7K15 over nu', each sweep evaluating K and K' at xi for
-    all its nodes in one series (bessel_im._k_dk_series); the first sweep
-    has about one panel per half-period of the kernel on each side of nu.
-    K and K' at nu come from the diagonal limit's call when nu is inside
-    the support, else from a call of their own.
+    One adaptive G7K15 over nu' for all cutoffs at once (_gauss_kronrod with
+    one component per cutoff).  Each sweep evaluates K and K' at every
+    cutoff for all its nodes in one series (bessel_im._k_dk_series), so the
+    order phases arg Gamma(1 + i nu') are paid once per node, not once per
+    cutoff.  The first sweep has about one panel per half-period of the
+    kernel on each side of nu at the smallest cutoff, where the kernel
+    oscillates fastest.  K and K' at nu come from the diagonal limit's call
+    (one for all cutoffs) when nu is inside the support, else from a scalar
+    call per cutoff.  Returns one Python float per cutoff.
     """
     lo, hi = phi.support()
     lo = max(lo, 1.0e-2)
     if hi <= lo:
         raise DomainError("test function support does not intersect nu' > 0")
+    xi = np.array(xis, dtype=float)[:, None]  # one row per cutoff, one column per node
     if lo < nu < hi:
-        diag, k1, d1 = _richardson_diagonal(nu, xi, _DIAG_STEP)
+        diag, k1, d1 = (v[:, None] for v in _richardson_diagonal(nu, xi, _DIAG_STEP))
     else:
         diag = None
-        k1, d1 = (float(v) for v in _k_dk_series(nu, xi))
+        # one scalar call per cutoff: numpy sums a lone point's series by a dot
+        # product, and a column of points by a matrix product, which round apart
+        k1, d1 = np.array([_k_dk_series(nu, x) for x in xis]).T[..., None]
 
     def integrand(nup: np.ndarray) -> np.ndarray:
         k2, d2 = _k_dk_series(nup, xi)
@@ -484,15 +504,15 @@ def _smeared_kernel(nu: float, xi: float, phi: TestFunctionSpec) -> float:
         far = gap >= _DIAG_WINDOW
         if far.all():  # as nodes almost always are
             return _wronskian_term(nu, nup, xi, k1, d1, k2, d2) * phi(nup)
-        out = np.full(nup.shape, diag)
-        out[far] = _wronskian_term(nu, nup[far], xi, k1, d1, k2[far], d2[far])
+        out = np.full(k2.shape, diag)
+        out[:, far] = _wronskian_term(nu, nup[far], xi, k1, d1, k2[:, far], d2[:, far])
         return out * phi(nup)
 
     _check_order(hi)  # nodes beyond NU_MAX are refused; refuse before laying their panels
     cuts = [lo, nu, hi] if diag is not None else [lo, hi]
-    edges = _panel_edges(cuts, -math.log(0.5 * xi))  # the kernel oscillates at ln(2/xi)
-    value, _err = _gauss_kronrod(integrand, edges, 1e-10, 1e-9)
-    return value
+    edges = _panel_edges(cuts, -math.log(0.5 * min(xis)))  # the kernel oscillates at ln(2/xi)
+    values, _errs = _gauss_kronrod(integrand, edges, 1e-10, 1e-9)
+    return values
 
 
 def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
@@ -507,7 +527,7 @@ def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
         s = np.sin(-(nu + nup) * lg + g1 + _arg_gamma_imag_continuous(nup))
         return _asym_prefactor(nu, nup) * s / (nu + nup) * phi(nup)
 
-    value, _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg), 1e-12, 1e-10)
+    (value,), _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg), 1e-12, 1e-10)
     return abs(value)
 
 
@@ -521,6 +541,8 @@ def weak_limit_test(
     For each cutoff xi computes S(xi) = int kernel_boundary(nu, nu', xi)
     phi(nu') dnu', compares against (pi^2/(2 nu sinh pi nu)) phi(nu), and
     bounds the reflected (nu + nu') contribution at the smallest cutoff.
+    All S(xi) come from one quadrature over nu' (_smeared_kernel); the
+    reflected bound is a quadrature of its own.
     """
     if not nu > 0.0:
         raise DomainError("nu must be > 0")
@@ -540,7 +562,7 @@ def weak_limit_test(
     target = kl_weight(nu) * phi(nu)
     if target == 0.0:
         raise DomainError(f"test function vanishes at nu = {nu:g}; the weak-limit target is 0")
-    smeared = [_smeared_kernel(nu, x, phi) for x in xs]
+    smeared = _smeared_kernel(nu, xs, phi)
     errors = [abs(s - target) for s in smeared]
     reflected = _reflected_bound(nu, min(xs), phi)
     return WeakLimitReport(

@@ -327,6 +327,16 @@ class TestSubnormalOrder:
             _k_dk_series(np.array([0.0, 1.0]), 1.0)
         assert str(array.value) == str(array_zero.value)
 
+    @pytest.mark.parametrize("nu, x", [(5e-324, 1.0), (1e-310, 0.5), (-1e-310, 0.5)])
+    def test_combination_residue_refuses_them_as_order_zero(self, nu, x):
+        # sinh(pi nu) is subnormal there; the combination's residue read 0.0 from a
+        # combination whose real part is -1.0
+        with pytest.raises(DomainError) as subnormal:
+            combination_imag_residue(nu, x)
+        with pytest.raises(DomainError) as zero:
+            combination_imag_residue(0.0, x)
+        assert str(subnormal.value) == str(zero.value)
+
 
 class TestSeriesEstimate:
     def test_error_within_estimate_against_mpmath(self):

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -229,6 +231,36 @@ class TestSerialization:
         a = subprocess.run(cmd, capture_output=True, check=True).stdout
         b = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert a == b
+
+
+def readme_examples():
+    """The `macdonald ...` lines of README.md's sh blocks, each as the argv after `macdonald`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    return [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("macdonald ")
+    ]
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_shows_every_subcommand():
+    commands = ["eval", "gamma", "identity-check", "ortho-scan", "delta-test", "asym-check"]
+    assert [argv[0] for argv in README_EXAMPLES] == commands
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=lambda argv: argv[0])
+def test_readme_example_runs(argv, capsys):
+    # the README and the CLI agree: each example passes with a valid JSON report
+    code, out = run_cli(argv, capsys)
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert code == 0
+    assert doc["command"] == argv[0]
 
 
 _SCAN = ["ortho-scan", "--nu", "1", "--xi", "1e-4", "--nu2-min", "0.5", "--nu2-max", "1.5"]

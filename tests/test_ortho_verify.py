@@ -106,7 +106,7 @@ class TestSeriesCount:
             "_gauss_kronrod",
             lambda f, *a: gauss_kronrod(lambda v: sweeps.append(v) or f(v), *a),
         )
-        ortho_verify._smeared_kernel(1.0, 1e-2, TestFunctionSpec("gaussian-bump", 1.5, 0.05))
+        ortho_verify._smeared_kernel(1.0, [1e-2], TestFunctionSpec("gaussian-bump", 1.5, 0.05))
         assert k_eval_calls == []
         assert series_calls[0].tolist() == 1.0
         assert len(series_calls) - 1 == len(sweeps) >= 1
@@ -117,10 +117,48 @@ class TestSeriesCount:
         # nu inside the support of phi: one array call over nu and the four Richardson
         # orders, whose K and K' at nu serve the sweeps too
         nu, h = 1.0, 1e-4
-        ortho_verify._smeared_kernel(nu, 1e-2, TestFunctionSpec("gaussian-bump", 1.0, 0.05))
+        ortho_verify._smeared_kernel(nu, [1e-2], TestFunctionSpec("gaussian-bump", 1.0, 0.05))
         assert k_eval_calls == []
         assert series_calls[0].tolist() == [nu, nu - h, nu + h, nu - h / 2, nu + h / 2]
         assert len(series_calls) >= 2 and not any(np.any(c == nu) for c in series_calls[1:])
+
+    def test_smeared_kernel_sums_one_series_per_sweep_for_all_cutoffs(
+        self, k_eval_calls, monkeypatch
+    ):
+        # nu inside the support: one Richardson call for all cutoffs, then one
+        # quadrature whose every sweep takes K and K' at all of its nodes and
+        # all cutoffs from one array call
+        nu, h, xis = 1.0, 1e-4, [1e-2, 1e-3, 1e-4, 1e-6]
+        calls, richardson, sweeps = [], [], []
+        series = ortho_verify._k_dk_series
+        monkeypatch.setattr(
+            ortho_verify,
+            "_k_dk_series",
+            lambda nu, x: calls.append((np.array(nu), np.array(x))) or series(nu, x),
+        )
+        diagonal = ortho_verify._richardson_diagonal
+        monkeypatch.setattr(
+            ortho_verify, "_richardson_diagonal", lambda *a: richardson.append(a) or diagonal(*a)
+        )
+        gauss_kronrod = ortho_verify._gauss_kronrod
+        monkeypatch.setattr(
+            ortho_verify,
+            "_gauss_kronrod",
+            lambda f, *a: sweeps.append([]) or gauss_kronrod(
+                lambda v: sweeps[-1].append(v) or f(v), *a
+            ),
+        )
+        values = ortho_verify._smeared_kernel(nu, xis, TestFunctionSpec("gaussian-bump", 1.0, 0.2))
+        assert len(values) == len(xis)
+        assert k_eval_calls == []
+        assert len(richardson) == 1 and richardson[0][1].ravel().tolist() == xis
+        (orders, x), *per_sweep = calls
+        assert orders.tolist() == [nu, nu - h, nu + h, nu - h / 2, nu + h / 2]
+        assert x.shape == (len(xis), 1) and x.ravel().tolist() == xis
+        assert len(sweeps) == 1 and len(per_sweep) == len(sweeps[0]) >= 1
+        for nodes, (nup, x) in zip(sweeps[0], per_sweep):
+            assert np.array_equal(nup, nodes)
+            assert x.shape == (len(xis), 1) and x.ravel().tolist() == xis
 
     def test_diagonal_limit_sums_one_series(self, k_eval_calls, series_calls):
         nu, xi, h = 1.0, 0.3, 1e-3
@@ -176,6 +214,23 @@ class TestSingleSweep:
         edges = ortho_verify._panel_edges([0.0, 1.0, 700.0], 2.0)
         assert edges.size - 1 == 1 + math.ceil(2.0 * 699.0 / math.pi)
         assert edges[0] == 0.0 and 1.0 in edges and edges[-1] == 700.0
+
+    def test_components_each_meet_their_own_tolerance(self):
+        # the panels are shared, the tolerances are not: a large smooth component
+        # must not accept panels that a small oscillating one still needs
+        def f(v):
+            return np.stack([1e6 * np.cos(v), 1e-3 * np.cos(40.0 * v)])
+
+        values, errs = ortho_verify._gauss_kronrod(f, np.array([0.0, 1.0]), 1e-12, 1e-10)
+        exact = [1e6 * math.sin(1.0), 1e-3 * math.sin(40.0) / 40.0]
+        for value, err, ref in zip(values, errs, exact):
+            assert type(value) is float and type(err) is float
+            assert err <= max(1e-12, 1e-10 * abs(value))
+            assert abs(value - ref) <= max(1e-12, 1e-10 * abs(ref))
+        (alone,), _ = ortho_verify._gauss_kronrod(
+            lambda v: f(v)[0], np.array([0.0, 1.0]), 1e-12, 1e-10
+        )
+        assert abs(values[0] - alone) <= 1e-10 * abs(alone)
 
     def test_tiny_cutoff_converges(self):
         pair = PairSpec(1.0, 2.0, 1e-300)
@@ -583,14 +638,65 @@ class TestWeakLimitRegression:
         off_support = (1.0, (1e-2, 1e-6), TestFunctionSpec("gaussian-bump", 1.5, 0.05))
         for nu, xis, phi in [*weak_limit_cases(12, seed=7), off_support]:
             for xi in xis:
-                smeared = ortho_verify._smeared_kernel(nu, xi, phi)
+                smeared = ortho_verify._smeared_kernel(nu, [xi], phi)[0]
                 assert abs(smeared - smeared_reference(nu, xi, phi)) <= 1e-12, (nu, xi, phi)
             reflected = ortho_verify._reflected_bound(nu, min(xis), phi)
             assert abs(reflected - reflected_reference(nu, min(xis), phi)) <= 1e-12, (nu, phi)
 
+    def test_all_cutoffs_in_one_quadrature_match_scalar_quad_reference(self):
+        # one G7K15 partition for every cutoff, laid for the smallest one
+        off_support = (1.0, (1e-2, 1e-6), TestFunctionSpec("gaussian-bump", 1.5, 0.05))
+        criterion_10 = (1.0, (1e-2, 1e-3, 1e-4, 1e-6), TestFunctionSpec("gaussian-bump", 1.0, 0.2))
+        for nu, xis, phi in [*weak_limit_cases(12, seed=7), off_support, criterion_10]:
+            smeared = ortho_verify._smeared_kernel(nu, xis, phi)
+            assert len(smeared) == len(xis)
+            for xi, value in zip(xis, smeared):
+                assert abs(value - smeared_reference(nu, xi, phi)) <= 1e-12, (nu, xi, phi)
+
+    def test_integrand_rows_are_the_one_cutoff_integrands(self, monkeypatch):
+        # at nodes inside the diagonal window too, where the row holds that cutoff's limit
+        integrands = []
+        gauss_kronrod = ortho_verify._gauss_kronrod
+        monkeypatch.setattr(
+            ortho_verify, "_gauss_kronrod", lambda f, *a: integrands.append(f) or gauss_kronrod(f, *a)
+        )
+        phi, xis = TestFunctionSpec("gaussian-bump", 1.0, 0.2), [1e-2, 1e-3, 1e-4, 1e-6]
+        ortho_verify._smeared_kernel(1.0, xis, phi)
+        for xi in xis:
+            ortho_verify._smeared_kernel(1.0, [xi], phi)
+        nodes = np.array([0.9, 1.0 - 5e-7, 1.0 + 1e-7, 1.0 + 2e-6, 1.2])
+        rows = integrands[0](nodes)
+        assert rows.shape == (len(xis), nodes.size)
+        for row, one_cutoff in zip(rows, integrands[1:]):
+            assert np.array_equal(row, one_cutoff(nodes)[0])
+        assert rows[:, 1].tolist() == [diagonal_limit(1.0, xi) * phi(nodes[1]) for xi in xis]
+
+    @pytest.mark.parametrize(
+        "nu, xi, phi, frozen",
+        [
+            (
+                1.3, 0.03, ("gaussian-bump", 1.25, 0.1),
+                "WeakLimitReport(nu=1.3, xi_sequence=(0.03,), a_sequence=(4.199705077879927,), "
+                "smeared_values=(0.05181390195300333,), target=0.11285049858982332, "
+                "errors=(0.06103659663681999,), reflected_term_bound=0.0026132898936862673)",
+            ),
+            (  # nu outside the support of phi
+                0.8, 0.0021296280236068246, ("gaussian-bump", 0.7, 0.011),
+                "WeakLimitReport(nu=0.8, xi_sequence=(0.0021296280236068246,), "
+                "a_sequence=(6.844955131875839,), smeared_values=(0.0707618708300981,), "
+                "target=1.138976287020037e-18, errors=(0.0707618708300981,), "
+                "reflected_term_bound=0.0017746818865366754)",
+            ),
+        ],
+    )
+    def test_one_cutoff_keeps_its_bits(self, nu, xi, phi, frozen):
+        # frozen from the quadrature that ran once per cutoff: with one cutoff the
+        # shared quadrature does the same arithmetic
+        assert repr(weak_limit_test(nu, [xi], TestFunctionSpec(*phi))) == frozen
+
     def test_returns_python_floats(self):
         phi = TestFunctionSpec("gaussian-bump", 1.0, 0.1)
-        assert type(ortho_verify._smeared_kernel(1.0, 1e-3, phi)) is float
+        assert type(ortho_verify._smeared_kernel(1.0, [1e-3], phi)[0]) is float
         assert type(ortho_verify._reflected_bound(1.0, 1e-3, phi)) is float
 
     @pytest.mark.parametrize(
@@ -604,7 +710,7 @@ class TestWeakLimitRegression:
         with pytest.raises(DomainError):
             smeared_reference(nu, 1e-2, phi)
         with pytest.raises(DomainError):
-            ortho_verify._smeared_kernel(nu, 1e-2, phi)
+            ortho_verify._smeared_kernel(nu, [1e-2], phi)
 
     def test_reflected_same_refusal_as_reference(self):
         phi = TestFunctionSpec("gaussian-bump", 150.0, 1.0)  # arg Gamma(i nu') above nu' = 100
@@ -618,7 +724,7 @@ class TestWeakLimitRegression:
         monkeypatch.setattr(ortho_verify, "_panel_edges", None)
         phi = TestFunctionSpec("gaussian-bump", 1e6, 1e5)
         with pytest.raises(DomainError):
-            ortho_verify._smeared_kernel(1.0, 1e-300, phi)
+            ortho_verify._smeared_kernel(1.0, [1e-300], phi)
 
     def test_subnormal_cutoff_refused(self):
         # K' overflows at xi = 1e-310; the scalar route returned nan here
