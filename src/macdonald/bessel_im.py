@@ -19,7 +19,6 @@ from .errors import DomainError, RangeError
 from .gamma_core import (
     _TINY,
     _arg_gamma_one_plus_imag,
-    _reciprocal_gamma_one_plus_imag,
     abs_gamma_imag,
     arg_gamma_imag,
 )
@@ -113,10 +112,10 @@ def _integral_span(x: float) -> float:
 
 
 def _phase_err(nu: float, log_half: float) -> float:
-    """Relative error of I_{i nu}(x) from its two rounded phases, nu ln(x/2) and c_0's.
+    """Relative error of I_{i nu}(x) from its rounded phase psi = nu ln(x/2) - arg Gamma(1 + i nu).
 
-    c_0 = 1/Gamma(1 + i nu) has a phase of about nu ln nu; each phase is
-    off by about 2 eps times its size, bounded by nu |ln(x/2)| and
+    arg Gamma(1 + i nu) is about nu ln nu - nu; each part of psi is off
+    by about 2 eps times its size, bounded by nu |ln(x/2)| and
     nu (|ln nu| + 1).
     """
     nu = abs(nu)
@@ -124,21 +123,22 @@ def _phase_err(nu: float, log_half: float) -> float:
 
 
 def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, float]:
-    """Termwise series for I_{i*nu_signed}(x) or its x-derivatives.
+    """e^{i psi} S = |Gamma(1 + i nu)| I_{i*nu_signed}(x), or an x-derivative, and its error.
 
-    Returns (value, absolute error estimate).  deriv in {0, 1, 2}.
-    The k-th term of I is c_k * (x/2)^(2k + i nu); differentiation
-    multiplies it by falling powers of m = 2k + i nu over x.  Each pass
-    sums one derivative order with one stopping rule.
+    psi = nu ln(x/2) - arg Gamma(1 + i nu); S = sum_k c_k (x/2)^{2k}, c_0 = 1,
+    c_k = c_{k-1} / (k (k + i nu)); differentiation multiplies the k-th term
+    by falling powers of m = 2k + i nu over x.  Callers scale by |Gamma(i nu)|
+    for K, so no factor of size e^{pi nu / 2} is formed.  deriv in {0, 1, 2};
+    each pass sums one derivative order with one stopping rule.
     """
     mu = complex(0.0, nu_signed)  # the order i*nu
     half = 0.5 * x
     log_half = math.log(half) if half else _log_half(x)  # _log_half refuses x/2 = 0
-    # (x/2)^{i nu} = exp(i nu ln(x/2)); no branch ambiguity for x > 0
-    prefactor = cmath.exp(mu * log_half)
+    # e^{i psi}; arg Gamma(1 + i nu) is odd in nu, so the series of -nu is the exact conjugate
+    prefactor = cmath.exp(complex(0.0, nu_signed * log_half - _arg_gamma_one_plus_imag(nu_signed)))
     h2 = half * half
 
-    c = _reciprocal_gamma_one_plus_imag(nu_signed)  # c_0 = 1/Gamma(1 + i nu)
+    c = 1.0
     powxk = 1.0  # (x/2)^{2k}
     total = 0.0j
     max_mag = 0.0
@@ -179,22 +179,25 @@ def besseli_imag(nu: float, x: float, sign: int = +1) -> FunctionValue:
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
     value, err = _i_series(sign * nu, x)
-    return FunctionValue(value=value, abs_err_estimate=err, method="series-combination")
+    pnu = math.pi * abs(nu)
+    scale = math.sqrt(math.sinh(pnu) / pnu) if pnu else 1.0  # 1/|Gamma(1 + i nu)|
+    return FunctionValue(scale * value, scale * err, "series-combination")
 
 
 def _k_series(nu: float, x: float, deriv: int = 0) -> tuple[float, float, float]:
     """K (or derivative) via the combination (pi/2i)(I_{-i nu}-I_{i nu})/sinh(pi nu).
 
-    Returns (real value, error estimate, relative imaginary residue).
+    Returns (real value, error estimate, relative imaginary residue), for nu > 0.
+    In _i_series' units it is (|Gamma(i nu)| / 2i)(S_- - S_+).
     """
     ip, errp = _i_series(+nu, x, deriv)
     im, errm = _i_series(-nu, x, deriv)
-    s = math.sinh(math.pi * nu)
-    comb = (math.pi / 2j) * (im - ip) / s
+    g = abs_gamma_imag(nu)
+    comb = (g / 2j) * (im - ip)
     mag = abs(comb)
     residue = abs(comb.imag) / mag if mag > 0.0 else 0.0
     # cancellation: absolute error of the difference is set by |I| itself
-    err = (math.pi / (2.0 * abs(s))) * (errp + errm + _EPS * (abs(ip) + abs(im)))
+    err = (0.5 * g) * (errp + errm + _EPS * (abs(ip) + abs(im)))
     return comb.real, err, residue
 
 
@@ -244,15 +247,15 @@ def _k_from_i(nu: float, x: float, deriv: int) -> tuple[float, float]:
     """K_{i nu}(x) or an x-derivative, and its error, from one pass over the I_{i nu} series.
 
     Bitwise equal to _k_series at the same order.  For real x,
-    I_{-i nu}(x) = conj I_{i nu}(x), and the two series come out as exact
-    conjugates in binary64, so the combination reduces to
-    K = -pi Im I_{i nu} / sinh(pi nu) and its error to
-    (pi / sinh(pi nu)) (err + eps |I|), err with _i_series' phase terms.
+    I_{-i nu}(x) = conj I_{i nu}(x), and the two normalised series come
+    out as exact conjugates in binary64, so (|Gamma(i nu)| / 2i)(S_- - S_+)
+    reduces to K = -|Gamma(i nu)| Im[e^{i psi} S] and its error to
+    |Gamma(i nu)| (err + eps |e^{i psi} S|), err with _i_series' phase terms.
     """
     i, err = _i_series(nu, x, deriv)
-    s = math.sinh(math.pi * nu)
-    # 0 - pi Im I, the real part of (pi/2i)(conj I - I): Im I = 0 gives +0.0
-    return (0.0 - math.pi * i.imag) / s, (math.pi / s) * (err + _EPS * abs(i))
+    g = abs_gamma_imag(nu)
+    # 0 - g Im I, the real part of (g/2i)(conj I - I): Im I = 0 gives +0.0
+    return 0.0 - g * i.imag, g * (err + _EPS * abs(i))
 
 
 def _k_eval(
@@ -285,11 +288,8 @@ def _k_eval(
     return values, tag
 
 
-def _series_run(nu: float, h2_max: float, c: complex):
-    """Yield c_0 = c, c_1, ... of I_{i nu}(x) = (x/2)^{i nu} sum_k c_k ((x/2)^2)^k.
-
-    As many as _i_series sums at h2_max, whatever c is: the rule below is
-    relative, so any c_0 gives the count of c_0 = 1/Gamma(1 + i nu).
+def _series_run(nu: float, h2_max: float):
+    """Yield the c_k of _i_series' S, from c_0 = 1: as many as it sums at (x/2)^2 = h2_max.
 
     The I sum of _i_series stops after three terms below 1e-18 of the
     partial sum; at a smaller (x/2)^2 every term is smaller, so the same
@@ -297,6 +297,7 @@ def _series_run(nu: float, h2_max: float, c: complex):
     would add is below 3e-21 of the K' sum (nu >= 1e-3, x <= _x_switch(nu)).
     """
     mu = complex(0.0, nu)
+    c = 1.0
     powxk = 1.0
     total = 0.0j
     run = 0
@@ -316,18 +317,18 @@ def _series_run(nu: float, h2_max: float, c: complex):
 
 
 def _k_series_values(nu: float, x: np.ndarray) -> np.ndarray:
-    """K_{i nu} at every x <= _x_switch(nu): -pi Im I_{i nu} / sinh(pi nu), Horner in (x/2)^2."""
+    """K_{i nu} at every x <= _x_switch(nu): -|Gamma(i nu)| Im[e^{i psi} S], Horner in (x/2)^2."""
     half = 0.5 * x
     if not half.min() > 0.0:
         _log_half(float(x.min()))  # x = 5e-324 refuses as on the scalar path
     h2 = half * half
-    coeffs = np.array(list(_series_run(nu, float(h2.max()), _reciprocal_gamma_one_plus_imag(nu))))
+    coeffs = np.array(list(_series_run(nu, float(h2.max()))))
     poly = np.full(x.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
         poly = poly * h2 + c
-    phase = nu * np.log(half)
+    phase = nu * np.log(half) - _arg_gamma_one_plus_imag(nu)
     im = np.sin(phase) * poly.real + np.cos(phase) * poly.imag
-    return -math.pi * im / math.sinh(math.pi * nu)
+    return -abs_gamma_imag(nu) * im
 
 
 def _trapezoid_sums(x: np.ndarray, t: np.ndarray, cos_nt: np.ndarray) -> np.ndarray:
@@ -418,16 +419,17 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Orders _TINY <= nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
     the series domain of _k_eval and _k_values (else RangeError).  The array
-    form of _k_eval's series values, with pi |c_0| / sinh(pi nu) = |Gamma(i nu)|
-    in place of c_0 = 1/Gamma(1 + i nu):
+    form of _k_eval's series values, with the same normalisation:
     K = -|Gamma(i nu)| Im[e^{i psi} S_0], K' = -|Gamma(i nu)| Im[e^{i psi} S_1],
-    psi = nu ln(x/2) - arg Gamma(1 + i nu).  The terms c_k (x/2)^{2k} / c_0
-    of S_0 are one cumulative product of (x/2)^2 / (k (k + i nu)) per point,
+    psi = nu ln(x/2) - arg Gamma(1 + i nu).  The terms c_k (x/2)^{2k} of S_0
+    (c_0 = 1) are one cumulative product of (x/2)^2 / (k (k + i nu)) per point,
     as many as _i_series sums at the smallest nu and the largest x; S_1
     weights them by (2k + i nu)/x, and the 1/x comes last, so K' overflows
     only where its value does (about x < 1e-308 at nu ~ 1), and then raises
-    RangeError.  The rounding differs from _i_series' running sums, so
-    values agree with it to about its error estimate, not bitwise.
+    RangeError.  Each sum runs along the last axis alone, so a point rounds
+    alike whether it is passed alone or in an array.  The rounding differs
+    from _i_series' running sums, so values agree with it to about its
+    error estimate, not bitwise.
     """
     nu = np.asarray(nu, dtype=float)
     nu_min = float(nu.min())
@@ -446,18 +448,21 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             raise RangeError(f"series path supports x <= {top:g} at this order, got {bad!r}")
     _log_half(x_min)  # refuses x = 5e-324
     half = 0.5 * x
-    k = np.arange(1.0, sum(1 for _c in _series_run(nu_min, (0.5 * x_max) ** 2, 1.0)))
+    k = np.arange(1.0, sum(1 for _c in _series_run(nu_min, (0.5 * x_max) ** 2)))
     # the conjugate series, of I_{-i nu}: Im of its products is -Im of the I_{i nu} ones
     mu = -1j * nu
     terms = np.cumprod((half * half)[..., None] / (k * (k + mu[..., None])), axis=-1)
     s0 = 1.0 + terms.sum(axis=-1)
-    xs1 = terms @ (2.0 * k) + mu * s0  # x S_1, conjugated
+    xs1 = (terms * (2.0 * k)).sum(axis=-1) + mu * s0  # x S_1, conjugated
     psi = nu * np.log(half) - _arg_gamma_one_plus_imag(nu)
+    cos, sin = np.cos(psi), np.sin(psi)
+    # |Gamma(i nu)|; two roots, as nu sinh(pi nu) underflows below nu ~ 1e-154
+    g = np.sqrt(math.pi / np.sinh(math.pi * nu)) / np.sqrt(nu)
     with np.errstate(over="ignore", invalid="ignore"):  # a K' beyond the floats is refused below
-        # |Gamma(i nu)| e^{-i psi}; two roots, as nu sinh(pi nu) underflows below nu ~ 1e-154
-        lead = np.sqrt(math.pi / np.sinh(math.pi * nu)) / np.sqrt(nu) * np.exp(-1j * psi)
-        k_val = (lead * s0).imag
-        dk_val = (lead * xs1).imag / x
+        # Im[e^{-i psi} conj S] in real arithmetic: numpy rounds a product of two complex
+        # scalars apart from the same product inside an array
+        k_val = g * (cos * s0.imag - sin * s0.real)
+        dk_val = g * (cos * xs1.imag - sin * xs1.real) / x
     if not (np.isfinite(k_val).all() and np.isfinite(dk_val).all()):
         raise RangeError("K_(i nu)(x) or K' is not finite on the series path (x below ~1e-308)")
     return k_val, dk_val

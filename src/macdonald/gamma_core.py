@@ -42,9 +42,9 @@ _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8, _B9, _B10 = (
 )
 _B_POWERS = np.array([_B2, _B3, _B4, _B5, _B6, _B7, _B8, _B9, _B10], dtype=complex)
 _R_STIRLING = 7.0
-# k = 0..7 as a column: the array forms take the phases atan2(nu, k) of the factors
-# z + k that shift every point by 7, from z = i nu (k = 0..6) or z = 1 + i nu (k = 1..7)
-_SHIFTS = np.arange(_R_STIRLING + 1.0)[:, None]
+# k = 1..7 as a column: the array form takes the phases atan2(nu, k) of the factors
+# k + i nu that shift 1 + i nu to 8 + i nu
+_SHIFTS = np.arange(1.0, _R_STIRLING + 1.0)[:, None]
 # log Gamma(2 + e) = sum_k _TAYLOR_2[k - 1] e^k, the k-th coefficient (-1)^k (zeta(k) - 1) / k
 # (1 - Euler's gamma for k = 1); at |e| < 0.2 the first omitted term is below 1e-18
 _R_TAYLOR = 0.2
@@ -215,61 +215,31 @@ def abs_gamma_imag(nu: float) -> float:
 
 
 def arg_gamma_imag(nu: float) -> float:
-    """Principal arg Gamma(i*nu); odd in nu up to the principal branch."""
+    """Principal arg Gamma(i*nu) = arg Gamma(1 + i*nu) - pi/2 (nu > 0); odd up to the branch."""
     if nu == 0.0 or not math.isfinite(nu):
         raise DomainError("arg_gamma_imag requires nu != 0 and finite")
-    if abs(nu) > _NU_MAX:
-        raise DomainError(f"|nu| = {abs(nu):g} exceeds supported bound {_NU_MAX:g}")
-    phase = _wrap_phase(_arg_gamma_imag_continuous(float(abs(nu))))
+    phase = _wrap_phase(_arg_gamma_one_plus_imag(abs(nu)) - 0.5 * math.pi)
     return phase if nu > 0 else -phase
 
 
-def _arg_gamma_imag_continuous(nu: float | np.ndarray) -> float | np.ndarray:
-    """Im log Gamma(i nu) for 0 < nu <= 100: arg Gamma(i nu) continued along nu, not wrapped.
+def _arg_gamma_one_plus_imag(nu: float | np.ndarray) -> float | np.ndarray:
+    """arg Gamma(1 + i nu) continued from nu = 0, for |nu| <= 100: a float, or an array elementwise.
 
-    nu is a float (the result is a float) or an array (elementwise).  The
-    principal log Gamma is analytic off the negative real axis; there
-    log Gamma(z) = log Gamma(z + 7) - sum_k log(z + k), k = 0..6, with
-    principal logs, whose phases arctan2(nu, k) are continuous in nu > 0.
+    Im log Gamma(8 + i nu) by Stirling's series less the phases atan2(nu, k),
+    k = 1..7, of (1 + i nu) ... (7 + i nu); odd in nu.  Both parts are O(nu)
+    at small nu, so the result keeps its relative precision there, where
+    pi/2 + arg Gamma(i nu) would cancel.  The float and array forms agree to
+    about an ulp of the larger part.  The package's one phase of Gamma on
+    the imaginary axis.
     """
-    if not isinstance(nu, np.ndarray) or nu.ndim == 0:
-        nu = float(nu)
-    top = nu if isinstance(nu, float) else nu.max()
+    top = np.abs(nu).max() if isinstance(nu, np.ndarray) else abs(nu)
     if top > _NU_MAX:
         raise DomainError(f"|nu| = {top:g} exceeds supported bound {_NU_MAX:g}")
-    if isinstance(nu, float):
-        return _stirling_imag(complex(_R_STIRLING, nu)) - sum(math.atan2(nu, k) for k in range(7))
+    if not isinstance(nu, np.ndarray):  # written out: a generator sum costs several times the call
+        return _stirling_imag(complex(_R_STIRLING + 1.0, nu)) - (
+            math.atan2(nu, 1.0) + math.atan2(nu, 2.0) + math.atan2(nu, 3.0) + math.atan2(nu, 4.0)
+            + math.atan2(nu, 5.0) + math.atan2(nu, 6.0) + math.atan2(nu, 7.0)
+        )
     flat = nu.ravel()
-    phase_p = np.arctan2(flat, _SHIFTS[:-1]).sum(axis=0)
-    return (_stirling_imag(_R_STIRLING + 1j * flat) - phase_p).reshape(nu.shape)
-
-
-def _reciprocal_gamma_one_plus_imag(nu: float) -> complex:
-    """1/Gamma(1 + i nu) for real |nu| <= 100.
-
-    1/Gamma(1 + i nu) = p / Gamma(8 + i nu), p = (1 + i nu)(2 + i nu) ... (7 + i nu).
-    The modulus is closed, |Gamma(1 + i nu)|^2 = pi nu / sinh(pi nu): exp(-log Gamma)
-    would carry the rounding of log Gamma(8) ~ 8.5 into it.  The phase is
-    that of p less Im log Gamma(8 + i nu), ~nu ln nu, whose ulp reaches
-    3e-14 at nu = 50.  bessel_im's scalar series takes c_0 from here.
-    """
-    x = math.pi * nu
-    z = complex(1.0, nu)
-    p = z * (z + 1.0) * (z + 2.0) * (z + 3.0) * (z + 4.0) * (z + 5.0) * (z + 6.0)
-    modulus = math.sqrt(math.sinh(x) / x) if x else 1.0
-    return modulus / abs(p) * p * cmath.exp(complex(0.0, -_stirling_imag(z + _R_STIRLING)))
-
-
-def _arg_gamma_one_plus_imag(nu: np.ndarray) -> np.ndarray:
-    """arg Gamma(1 + i nu) continued along nu from 0, elementwise over an array of |nu| <= 100.
-
-    The phase of _reciprocal_gamma_one_plus_imag, negated and not wrapped:
-    Im log Gamma(8 + i nu) less the phases atan2(nu, k), k = 1..7, of p.
-    Both parts are O(nu) at small nu, so the result keeps its relative
-    precision there, where pi/2 + arg Gamma(i nu) would cancel.  It
-    agrees with the float form's phase to about an ulp of the larger part;
-    bessel_im's array series takes its phase from here.
-    """
-    flat = nu.ravel()
-    phase_p = np.arctan2(flat, _SHIFTS[1:]).sum(axis=0)
+    phase_p = np.arctan2(flat, _SHIFTS).sum(axis=0)
     return (_stirling_imag(_R_STIRLING + 1.0 + 1j * flat) - phase_p).reshape(nu.shape)

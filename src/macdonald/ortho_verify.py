@@ -17,7 +17,7 @@ import numpy as np
 
 from .bessel_im import _EPS, _check_order, _k_and_dk, _k_dk_series, _k_values, _log_half
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
-from .gamma_core import _TINY, _arg_gamma_imag_continuous, arg_gamma_imag
+from .gamma_core import _TINY, _arg_gamma_one_plus_imag, arg_gamma_imag
 
 __all__ = [
     "PairSpec",
@@ -384,7 +384,7 @@ def phase_function(nu: float, eta: float) -> float:
     Both phases are continued along the positive imaginary axis (not
     wrapped to the principal branch), so f is continuous along eta with
     f(0) = 0 exactly; principal values alone would break that premise at
-    wraps.
+    wraps.  arg Gamma(i nu) = arg Gamma(1 + i nu) - pi/2, and the pi/2 cancels.
     """
     if not nu > 0.0:
         raise DomainError("nu must be > 0")
@@ -392,7 +392,7 @@ def phase_function(nu: float, eta: float) -> float:
         raise DomainError(f"|eta| = {abs(eta):g} must stay below nu = {nu:g}")
     if eta == 0.0:
         return 0.0
-    return _arg_gamma_imag_continuous(nu) - _arg_gamma_imag_continuous(nu - eta)
+    return _arg_gamma_one_plus_imag(nu) - _arg_gamma_one_plus_imag(nu - eta)
 
 
 def delta_model(a: float, eta: float, f: Optional[Callable[[float], float]] = None) -> float:
@@ -479,8 +479,8 @@ def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> l
     cutoff.  The first sweep has about one panel per half-period of the
     kernel on each side of nu at the smallest cutoff, where the kernel
     oscillates fastest.  K and K' at nu come from the diagonal limit's call
-    (one for all cutoffs) when nu is inside the support, else from a scalar
-    call per cutoff.  Returns one Python float per cutoff.
+    when nu is inside the support, else from one series call; either serves
+    all cutoffs.  Returns one Python float per cutoff.
     """
     lo, hi = phi.support()
     lo = max(lo, 1.0e-2)
@@ -491,9 +491,7 @@ def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> l
         diag, k1, d1 = (v[:, None] for v in _richardson_diagonal(nu, xi, _DIAG_STEP))
     else:
         diag = None
-        # one scalar call per cutoff: numpy sums a lone point's series by a dot
-        # product, and a column of points by a matrix product, which round apart
-        k1, d1 = np.array([_k_dk_series(nu, x) for x in xis]).T[..., None]
+        k1, d1 = _k_dk_series(nu, xi)
 
     def integrand(nup: np.ndarray) -> np.ndarray:
         k2, d2 = _k_dk_series(nup, xi)
@@ -524,7 +522,7 @@ def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
 
     def integrand(nup: np.ndarray) -> np.ndarray:
         # sin is 2 pi periodic, so the continuous arg Gamma(i nu') serves for the principal one
-        s = np.sin(-(nu + nup) * lg + g1 + _arg_gamma_imag_continuous(nup))
+        s = np.sin(-(nu + nup) * lg + g1 + (_arg_gamma_one_plus_imag(nup) - 0.5 * math.pi))
         return _asym_prefactor(nu, nup) * s / (nu + nup) * phi(nup)
 
     (value,), _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg), 1e-12, 1e-10)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,22 @@ class TestBesselI:
     def test_x_out_of_range(self):
         with pytest.raises(RangeError):
             besseli_imag(1.0, 31.0)
+
+    def test_both_signs_against_mpmath(self):
+        # the series is normalised by 1/|Gamma(1 + i nu)| = sqrt(sinh(pi nu) / (pi nu)),
+        # its phase by arg Gamma(1 + i nu): at small x the modulus is that factor's
+        # alone, kept to 1e-14, and each value lies within its own estimate
+        rng = np.random.default_rng(9)
+        nus = np.concatenate([10.0 ** rng.uniform(-300.0, -3.0, 10), rng.uniform(1e-3, 50.0, 60)])
+        xs = 10.0 ** rng.uniform(-8.0, 0.0, nus.size)
+        with mp.workdps(40):
+            for nu, x in zip(nus, xs):
+                nu, x = float(nu), float(x)
+                plus, minus = besseli_imag(nu, x, +1), besseli_imag(nu, x, -1)
+                assert minus.value == plus.value.conjugate(), (nu, x)
+                ref = complex(mp.besseli(mp.mpc(0, nu), x))
+                assert abs(plus.value - ref) <= plus.abs_err_estimate, (nu, x)
+                assert abs(abs(plus.value) / abs(ref) - 1.0) <= 1e-14, (nu, x)
 
     def test_bad_sign(self):
         with pytest.raises(DomainError):
@@ -231,8 +248,9 @@ class TestArraySeries:
 
     @pytest.mark.parametrize("nu", [12.0, 20.0])
     def test_derivative_kept_where_representable(self, nu):
-        # |Gamma(i nu)| scales the sums before the 1/x of K': K' ~ 5e292 and 2.5e287
-        # here, where the scalar path overflows I' ~ e^{pi nu / 2} / x.  At nu = 20, K
+        # |Gamma(i nu)| scales the sums before the 1/x of K' on both paths, so
+        # K' ~ 5e292 and 2.5e287 are returned here, though I' ~ e^{pi nu / 2} / x
+        # is beyond the floats.  At nu = 20, K
         # sits near a zero (0.06 of its local amplitude), where the rounding of the
         # phase nu ln(x/2) ~ -13 830 alone is 1.6e-11 of K; the scalar estimate's
         # phase term (_phase_err) bounds it there
@@ -242,8 +260,18 @@ class TestArraySeries:
         amp = math.sqrt(k_ref**2 + (x * dk_ref) ** 2 / (nu * nu + x * x))
         assert abs(k - k_ref) <= max(1e-12 * abs(k_ref), _phase_err(nu, math.log(x / 2)) * amp)
         assert abs(dk - dk_ref) <= 1e-12 * abs(dk_ref)
-        with pytest.raises(RangeError):
-            besselk_dx(nu, x)
+        assert abs(besselk_dx(nu, x).value - dk_ref) <= 1e-12 * abs(dk_ref)
+
+    def test_a_point_rounds_alike_alone_and_in_an_array(self):
+        # every sum runs along the last axis, so a lone point and a column of one
+        # take the same additions in the same order
+        rng = np.random.default_rng(3000)
+        nus = 10.0 ** rng.uniform(-2.0, math.log10(50.0), 3000)
+        xis = np.array([10.0 ** rng.uniform(-8.0, math.log10(_x_switch(float(nu)))) for nu in nus])
+        for nu, xi in zip(nus, xis):
+            alone = _k_dk_series(nu, xi)
+            column = _k_dk_series(nu, np.array([[xi]]))
+            assert alone[0] == column[0][0, 0] and alone[1] == column[1][0, 0], (nu, xi)
 
     @pytest.mark.parametrize("x", [2.5, 0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310])
     def test_abscissa_out_of_range_rejected(self, x):

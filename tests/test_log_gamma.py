@@ -15,9 +15,7 @@ import pytest
 from scipy import special as sc
 
 from macdonald.gamma_core import (
-    _arg_gamma_imag_continuous,
     _arg_gamma_one_plus_imag,
-    _reciprocal_gamma_one_plus_imag,
     log_gamma,
     reciprocal_gamma,
 )
@@ -101,50 +99,37 @@ def test_reciprocal_gamma_against_mpmath():
 
 
 def test_continuous_arg_against_mpmath():
+    # arg Gamma(i nu) = arg Gamma(1 + i nu) - pi/2, continued along nu > 0
     rng = np.random.default_rng(8)
     nus = np.concatenate([10.0 ** rng.uniform(-8.0, 2.0, 300), [1e-300, 1.0, 100.0]])
     with mp.workdps(40):
         ref = np.array([float(mp.loggamma(mp.mpc(0, v)).imag) for v in nus])  # unwrapped
-    got = _arg_gamma_imag_continuous(nus)
+    got = _arg_gamma_one_plus_imag(nus) - 0.5 * math.pi
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
     assert ref.max() > 300.0  # far beyond the principal interval at nu = 100
     for nu in (1e-300, 0.5, 20.0, 100.0):
-        assert _arg_gamma_imag_continuous(nu) == pytest.approx(
+        assert _arg_gamma_one_plus_imag(nu) - 0.5 * math.pi == pytest.approx(
             float(mp.loggamma(mp.mpc(0, nu)).imag), rel=1e-14, abs=1e-14
         )
-    assert _arg_gamma_imag_continuous(2) == _arg_gamma_imag_continuous(2.0)  # an int order
-
-
-def test_reciprocal_gamma_one_plus_imag_against_mpmath():
-    rng = np.random.default_rng(9)
-    nus = np.sort(np.concatenate([10.0 ** rng.uniform(-300.0, -3.0, 30), rng.uniform(1e-3, 50.0, 300)]))
-    with mp.workdps(40):
-        ref = np.array([complex(mp.rgamma(mp.mpc(1, v))) for v in nus])
-        log_ref = np.array([abs(complex(mp.loggamma(mp.mpc(1, v)))) for v in nus])
-    got = np.array([_reciprocal_gamma_one_plus_imag(float(v)) for v in nus])
-    rel = np.abs(got / ref - 1.0)
-    assert rel[nus <= 10.0].max() <= 1e-14
-    # beyond: the phase Im log Gamma(1 + i nu) ~ nu ln nu - nu reaches ~145 at nu = 50,
-    # and its ulp alone is then 2.8e-14 of the value
-    assert np.all(rel <= 1e-14 * np.maximum(1.0, log_ref))
-    assert _reciprocal_gamma_one_plus_imag(0.0) == 1.0
-    assert _reciprocal_gamma_one_plus_imag(-0.7) == _reciprocal_gamma_one_plus_imag(0.7).conjugate()
+    assert _arg_gamma_one_plus_imag(2) == _arg_gamma_one_plus_imag(2.0)  # an int order
 
 
 def test_float_and_array_forms_agree():
-    # bessel_im's scalar series takes c_0 = 1/Gamma(1 + i nu) from the float form, its
-    # array series the phase -arg Gamma(1 + i nu) from the array form; the two phases
-    # must not differ by more than the ulps of their parts.  Near nu = 1.7 the phase
-    # passes through 0 while its two parts stay ~3.6, hence max(1, |phase|).
+    # bessel_im's scalar series takes the phase arg Gamma(1 + i nu) from the float form,
+    # its array series from the array form; the two must not differ by more than the
+    # ulps of their parts.  Near nu = 1.7 the phase passes through 0 while its two
+    # parts stay ~3.6, hence max(1, |phase|).
     nus = np.random.default_rng(10).uniform(1e-3, 50.0, 2000)
     array = _arg_gamma_one_plus_imag(nus)
-    floats = np.array([cmath.phase(_reciprocal_gamma_one_plus_imag(float(v))) for v in nus])
-    gap = np.remainder(array + floats + math.pi, 2.0 * math.pi) - math.pi  # -arg vs arg, mod 2 pi
-    assert np.all(np.abs(gap) <= 2e-15 * np.maximum(1.0, np.abs(array)))
+    floats = np.array([_arg_gamma_one_plus_imag(float(v)) for v in nus])
+    assert np.all(np.abs(array - floats) <= 2e-15 * np.maximum(1.0, np.abs(array)))
     # tiny orders, where pi/2 + arg Gamma(i nu) would cancel: relative to the phase itself
     tiny = 10.0 ** np.random.default_rng(11).uniform(-300.0, -3.0, 200)
-    floats = np.array([cmath.phase(_reciprocal_gamma_one_plus_imag(float(v))) for v in tiny])
-    assert np.all(np.abs(_arg_gamma_one_plus_imag(tiny) + floats) <= 2e-15 * np.abs(floats))
+    floats = np.array([_arg_gamma_one_plus_imag(float(v)) for v in tiny])
+    assert np.all(np.abs(_arg_gamma_one_plus_imag(tiny) - floats) <= 2e-15 * np.abs(floats))
+    # odd in nu, exactly: the series of I_{-i nu} is then the conjugate of that of I_{i nu}
+    assert np.array_equal(_arg_gamma_one_plus_imag(-nus), -array)
+    assert all(_arg_gamma_one_plus_imag(-v) == -_arg_gamma_one_plus_imag(v) for v in nus.tolist())
 
 
 def test_array_phase_against_mpmath():

@@ -678,14 +678,14 @@ class TestWeakLimitRegression:
                 1.3, 0.03, ("gaussian-bump", 1.25, 0.1),
                 "WeakLimitReport(nu=1.3, xi_sequence=(0.03,), a_sequence=(4.199705077879927,), "
                 "smeared_values=(0.05181390195300333,), target=0.11285049858982332, "
-                "errors=(0.06103659663681999,), reflected_term_bound=0.0026132898936862673)",
+                "errors=(0.06103659663681999,), reflected_term_bound=0.002613289893686267)",
             ),
             (  # nu outside the support of phi
                 0.8, 0.0021296280236068246, ("gaussian-bump", 0.7, 0.011),
                 "WeakLimitReport(nu=0.8, xi_sequence=(0.0021296280236068246,), "
-                "a_sequence=(6.844955131875839,), smeared_values=(0.0707618708300981,), "
-                "target=1.138976287020037e-18, errors=(0.0707618708300981,), "
-                "reflected_term_bound=0.0017746818865366754)",
+                "a_sequence=(6.844955131875839,), smeared_values=(0.07076187083009809,), "
+                "target=1.138976287020037e-18, errors=(0.07076187083009809,), "
+                "reflected_term_bound=0.0017746818865366808)",
             ),
         ],
     )
