@@ -16,7 +16,8 @@ the two sides returned identical outputs, and the largest absolute
 difference between their output numbers (inf where the outputs differ in
 anything but numbers, such as an error on one side).  It also holds the
 microseconds per call of the scalar and the length-1 array K at
-(nu, x) = (1, 0.5) on the AFTER side, and the CPU count.
+(nu, x) = (1, 0.5) on the AFTER side, of the public diagonal_limit(1, 1e-4)
+on both sides, and the CPU count.
 """
 
 from __future__ import annotations
@@ -136,6 +137,10 @@ def main() -> int:
             "max_abs_output_diff": diff,
         }
     report["us_per_call_after"] = length_one_timing(sides["after"])
+    report["diagonal_limit(1, 1e-4)_us_per_call"] = {
+        side: per_call_us(lambda: M.diagonal_limit(1.0, 1e-4), number=500)
+        for side, M in sides.items()
+    }
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0

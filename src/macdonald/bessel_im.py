@@ -19,6 +19,7 @@ from .errors import DomainError, RangeError
 from .gamma_core import (
     _TINY,
     _arg_gamma_one_plus_imag,
+    _re_digamma_one_plus_imag,
     abs_gamma_imag,
     arg_gamma_imag,
 )
@@ -144,6 +145,7 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
     max_mag = 0.0
     small_run = 0  # the sum ends after three terms below _SERIES_TINY of it
     last_term_mag = 0.0
+    rounding = 0.0  # sum_k k |t_k|: the k-th term carries about k roundings of the c_k recurrence
     for k in range(_SERIES_CAP):
         term = c * powxk
         if deriv:
@@ -151,6 +153,7 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
             term *= m / x if deriv == 1 else m * (m - 1.0) / (x * x)
         total += term
         last_term_mag = abs(term)
+        rounding += k * last_term_mag
         if last_term_mag > max_mag:
             max_mag = last_term_mag
         ref = abs(total)  # max(|total|, 1e-300), inlined
@@ -164,8 +167,9 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
         c = c / (kk * (kk + mu))
         powxk *= h2
     value = prefactor * total
-    phase_err = _phase_err(nu_signed, log_half)
-    return value, abs(prefactor) * (last_term_mag + _EPS * max_mag) + phase_err * abs(value)
+    err = abs(prefactor) * (last_term_mag + _EPS * (max_mag + rounding))
+    # 2 eps |value|: the roundings of e^{i psi} and of the product
+    return value, err + (_phase_err(nu_signed, log_half) + 2.0 * _EPS) * abs(value)
 
 
 def besseli_imag(nu: float, x: float, sign: int = +1) -> FunctionValue:
@@ -414,7 +418,7 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _k_dk_series(nu: np.ndarray, x: np.ndarray, dnu: bool = False) -> tuple[np.ndarray, ...]:
     """K_{i nu}(x) and K'_{i nu}(x) elementwise over broadcast arrays nu and x, on the series path.
 
     Orders _TINY <= nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
@@ -430,6 +434,9 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     alike whether it is passed alone or in an array.  The rounding differs
     from _i_series' running sums, so values agree with it to about its
     error estimate, not bitwise.
+    With dnu, dK/dnu and dK'/dnu follow from the same terms, K and K' keeping their
+    bits: d c_k/dnu = c_k d_k, d_k = -i sum_{j<=k} 1/(j + i nu), psi' = ln(x/2) - Re
+    digamma(1 + i nu), d ln|Gamma(i nu)|/dnu = -1/(2 nu) - (pi/2) coth(pi nu).
     """
     nu = np.asarray(nu, dtype=float)
     nu_min = float(nu.min())
@@ -454,7 +461,8 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     terms = np.cumprod((half * half)[..., None] / (k * (k + mu[..., None])), axis=-1)
     s0 = 1.0 + terms.sum(axis=-1)
     xs1 = (terms * (2.0 * k)).sum(axis=-1) + mu * s0  # x S_1, conjugated
-    psi = nu * np.log(half) - _arg_gamma_one_plus_imag(nu)
+    log_half = np.log(half)
+    psi = nu * log_half - _arg_gamma_one_plus_imag(nu)
     cos, sin = np.cos(psi), np.sin(psi)
     # |Gamma(i nu)|; two roots, as nu sinh(pi nu) underflows below nu ~ 1e-154
     g = np.sqrt(math.pi / np.sinh(math.pi * nu)) / np.sqrt(nu)
@@ -463,9 +471,23 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         # scalars apart from the same product inside an array
         k_val = g * (cos * s0.imag - sin * s0.real)
         dk_val = g * (cos * xs1.imag - sin * xs1.real) / x
-    if not (np.isfinite(k_val).all() and np.isfinite(dk_val).all()):
+        out = (k_val, dk_val)
+        if dnu:
+            # u, v: -i times the nu-derivatives of conj S_0, conj x S_1; conj d_k = i td_k / t_k
+            td = terms * np.cumsum(1.0 / (k + mu[..., None]), axis=-1)
+            u = td.sum(axis=-1)
+            v = (td * (2.0 * k)).sum(axis=-1) + mu * u - s0
+            dpsi = log_half - _re_digamma_one_plus_imag(nu)
+            b0, b1 = u - dpsi * s0, v - dpsi * xs1
+            dlog_g = -0.5 / nu - (0.5 * math.pi) / np.tanh(math.pi * nu)
+            # d/dnu Im[e^{-i psi} B] = Re[e^{-i psi} (dB/dnu - i dpsi B)]
+            out += (
+                dlog_g * k_val + g * (cos * b0.real + sin * b0.imag),
+                dlog_g * dk_val + g * (cos * b1.real + sin * b1.imag) / x,
+            )
+    if not all(np.isfinite(a).all() for a in out):
         raise RangeError("K_(i nu)(x) or K' is not finite on the series path (x below ~1e-308)")
-    return k_val, dk_val
+    return out
 
 
 def _k_and_dk(nu: float, x: float) -> tuple[float, float]:

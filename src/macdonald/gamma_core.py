@@ -45,6 +45,8 @@ _R_STIRLING = 7.0
 # k = 1..7 as a column: the array form takes the phases atan2(nu, k) of the factors
 # k + i nu that shift 1 + i nu to 8 + i nu
 _SHIFTS = np.arange(1.0, _R_STIRLING + 1.0)[:, None]
+# B_2k / (2k) = (2k - 1) _Bk, k = 10..1: Stirling's series of psi(w) in r = 1/w^2
+_PSI_COEFFS = (np.r_[_B_POWERS.real[::-1], _B1] * np.arange(19.0, 0.0, -2.0)).tolist()
 # log Gamma(2 + e) = sum_k _TAYLOR_2[k - 1] e^k, the k-th coefficient (-1)^k (zeta(k) - 1) / k
 # (1 - Euler's gamma for k = 1); at |e| < 0.2 the first omitted term is below 1e-18
 _R_TAYLOR = 0.2
@@ -243,3 +245,30 @@ def _arg_gamma_one_plus_imag(nu: float | np.ndarray) -> float | np.ndarray:
     flat = nu.ravel()
     phase_p = np.arctan2(flat, _SHIFTS).sum(axis=0)
     return (_stirling_imag(_R_STIRLING + 1.0 + 1j * flat) - phase_p).reshape(nu.shape)
+
+
+def _re_digamma_one_plus_imag(nu: float | np.ndarray) -> float | np.ndarray:
+    """Re psi(1 + i nu) = d/dnu arg Gamma(1 + i nu): a float, or an array elementwise; even in nu.
+
+    The shift of _arg_gamma_one_plus_imag: Re psi(8 + i nu) by Stirling's series less
+    sum_j j / (j^2 + nu^2), j = 1..7, each part as its value at nu = 0 (together
+    psi(1) = -Euler's gamma) plus its O(nu^2) change, so that nothing cancels at small nu.
+    """
+    lone = np.ndim(nu) == 0  # one order takes Python's scalar arithmetic, several times faster
+    nu = float(nu) if lone else np.asarray(nu, dtype=float)
+    nu2, j, w = nu * nu, _SHIFTS.ravel(), _R_STIRLING + 1.0  # w + i nu = 8 + i nu
+    out = (
+        0.5 * np.log1p(nu2 / w**2) + nu2 / (2.0 * w * (w**2 + nu2))  # ln|w| - Re 1/(2w)
+        - (_psi_series(1.0 / (w + 1j * nu) ** 2).real - _psi_series(w**-2))
+        + nu2 * (1.0 / (j * np.add.outer(nu2, j * j))).sum(axis=-1)  # 1/j - j/(j^2 + nu^2)
+        - np.euler_gamma
+    )
+    return float(out) if lone else out
+
+
+def _psi_series(r):
+    """sum_k B_2k r^k / (2k), k = 1..10, by Horner's rule: Stirling's series of psi at 1/sqrt(r)."""
+    s = 0.0
+    for b in _PSI_COEFFS:
+        s = (s + b) * r
+    return s

@@ -49,6 +49,20 @@ def k_dk_besselk_ref(nu, x, dps=30):
         return mp.besselk(z, x).real, (-(mp.besselk(z - 1, x) + mp.besselk(z + 1, x)) / 2).real
 
 
+def diagonal_ref(nu, xi, dps=40):
+    """int_xi^inf K_{i nu}(x)^2 dx/x = xi (K dK'/dnu - K' dK/dnu) / (2 nu) at `dps` digits.
+
+    The limit nu' -> nu of the Wronskian boundary term, with mpmath's besselk
+    and its numerical nu-derivative; it agrees with mpmath's quadrature of
+    K^2/x to about 1e-31 relative at (nu, xi) = (1, 0.5), (0.1, 2), (2, 1).
+    """
+    with mp.workdps(dps):
+        nu, x = mp.mpf(nu), mp.mpf(xi)
+        k = lambda n: mp.besselk(1j * n, x).real
+        dk = lambda n: (-(mp.besselk(1j * n - 1, x) + mp.besselk(1j * n + 1, x)) / 2).real
+        return x * (k(nu) * mp.diff(dk, nu) - dk(nu) * mp.diff(k, nu)) / (2 * nu)
+
+
 def envelope_ref(nu, nup, xi, n_samples=48, dps=30):
     """asymptotic_envelope(nu, nup, xi) with every step after the sampling at `dps` digits.
 
@@ -150,4 +164,85 @@ ENVELOPE = {
     (0.6, 2.2, 3e-2): 3.841734243748032e-06,
     (2.0, 1.2, 5e-5): 3.368010102422988e-12,
     (0.5, 0.6, 5e-4): 7.145137521324606e-08,
+}
+
+# diagonal_limit's test grid, from diagonal_ref at 40 digits
+DIAGONAL = {
+    (0.001, 1e-300): 99898044.98342016,
+    (0.001, 1e-100): 4032459.278595679,
+    (0.001, 1e-10): 4131.084530317207,
+    (0.001, 0.001): 115.89727685094009,
+    (0.001, 0.1): 5.086908953561867,
+    (0.001, 1.0): 0.050653504400110294,
+    (0.001, 2.0): 0.0022934573730068117,
+    (0.01, 1e-300): 3216567.822165992,
+    (0.01, 1e-100): 1400268.2350971508,
+    (0.01, 1e-10): 4086.859409812441,
+    (0.01, 0.001): 115.7675738930049,
+    (0.01, 0.1): 5.085739590637891,
+    (0.01, 1.0): 0.050650450633126086,
+    (0.01, 2.0): 0.002293374642458642,
+    (0.05, 1e-300): 137663.65277767825,
+    (0.05, 1e-100): 47610.70328718126,
+    (0.05, 1e-10): 3143.7795035998693,
+    (0.05, 0.001): 112.6653803372672,
+    (0.05, 0.1): 5.0574698423862925,
+    (0.05, 1.0): 0.050576474190166316,
+    (0.05, 2.0): 0.0022913699394639087,
+    (0.1, 1e-300): 33995.93346899474,
+    (0.1, 1e-100): 11118.882855914137,
+    (0.1, 1e-10): 1383.9419651137196,
+    (0.1, 0.001): 103.47585815014797,
+    (0.1, 0.1): 4.970091321348068,
+    (0.1, 1.0): 0.05034596842551448,
+    (0.1, 2.0): 0.0022851161993448746,
+    (0.5, 1e-300): 943.7325337413415,
+    (0.5, 1e-100): 316.06517206228995,
+    (0.5, 1e-10): 33.22175951508492,
+    (0.5, 0.001): 8.92030101234968,
+    (0.5, 0.1): 2.826621532839874,
+    (0.5, 1.0): 0.04348186663121899,
+    (0.5, 2.0): 0.0020935163393066775,
+    (1.0, 1e-300): 94.0603945793194,
+    (1.0, 1e-100): 31.39221230670554,
+    (1.0, 1e-10): 3.219609131238627,
+    (1.0, 0.001): 0.9858099008498888,
+    (1.0, 0.1): 0.4733594576507673,
+    (1.0, 1.0): 0.027365033641389962,
+    (1.0, 2.0): 0.0015899742580848767,
+    (2.0, 1e-300): 2.029705414203953,
+    (2.0, 1e-100): 0.6792548779757509,
+    (2.0, 1e-10): 0.07110435313958852,
+    (2.0, 0.001): 0.024894020807116328,
+    (2.0, 0.1): 0.011115441883657097,
+    (2.0, 1.0): 0.0039810278434868306,
+    (2.0, 2.0): 0.0005169472412471909,
+    (5.0, 1e-300): 6.563628855217282e-05,
+    (5.0, 1e-100): 2.203045459817501e-05,
+    (5.0, 1e-10): 2.400722302585054e-06,
+    (5.0, 0.001): 8.63669146811462e-07,
+    (5.0, 0.1): 4.3739676190896364e-07,
+    (5.0, 1.0): 2.0886759804805516e-07,
+    (5.0, 2.0): 1.3790850300577646e-07,
+    (10.0, 1e-300): 4.949779525834985e-12,
+    (10.0, 1e-100): 1.6643247185686897e-12,
+    (10.0, 1e-10): 1.858879436853343e-13,
+    (10.0, 0.001): 7.085349727131444e-14,
+    (10.0, 0.1): 3.7961743532973927e-14,
+    (10.0, 1.0): 2.1587993607569563e-14,
+    (10.0, 2.0): 1.619354780123219e-14,
+    (20.0, 1e-300): 5.62658471654202e-26,
+    (20.0, 1e-100): 1.8952439255696086e-26,
+    (20.0, 1e-10): 2.1650277169175413e-27,
+    (20.0, 0.001): 8.568661425816034e-28,
+    (20.0, 0.1): 4.851240307586058e-28,
+    (20.0, 1.0): 2.9736443390439493e-28,
+    (20.0, 2.0): 2.4291558338813416e-28,
+    (50.0, 1e-300): 2.639916154309158e-67,
+    (50.0, 1e-100): 8.915808273780768e-68,
+    (50.0, 1e-10): 1.0487476646461451e-68,
+    (50.0, 0.001): 4.372251551324518e-69,
+    (50.0, 0.1): 2.6186613291175005e-69,
+    (50.0, 1.0): 1.7509962684682088e-69,
+    (50.0, 2.0): 1.4872633816031883e-69,
 }

@@ -76,6 +76,20 @@ class TestBesselI:
                 assert abs(plus.value - ref) <= plus.abs_err_estimate, (nu, x)
                 assert abs(abs(plus.value) / abs(ref) - 1.0) <= 1e-14, (nu, x)
 
+    def test_within_estimate_on_a_seeded_grid(self):
+        # the estimate counts the ~k roundings of the c_k recurrence in the k-th term
+        # and the roundings of e^{i psi} and of e^{i psi} S: without them 53 of these
+        # 600 values (up to 14 times their estimate) lay beyond it
+        rng = np.random.default_rng(16)
+        nus = np.exp(rng.uniform(math.log(0.01), math.log(50.0), 600))
+        xs = np.exp(rng.uniform(math.log(1e-3), math.log(30.0), 600))
+        with mp.workdps(40):
+            for nu, x in zip(nus.tolist(), xs.tolist()):
+                v = besseli_imag(nu, x)
+                assert abs(mp.mpc(v.value) - mp.besseli(mp.mpc(0, nu), x)) <= v.abs_err_estimate, (
+                    nu, x
+                )
+
     def test_bad_sign(self):
         with pytest.raises(DomainError):
             besseli_imag(1.0, 1.0, sign=2)
@@ -273,6 +287,31 @@ class TestArraySeries:
             column = _k_dk_series(nu, np.array([[xi]]))
             assert alone[0] == column[0][0, 0] and alone[1] == column[1][0, 0], (nu, xi)
 
+    def test_nu_derivatives_keep_the_bits_of_k(self):
+        nus = np.geomspace(1e-2, 50.0, 20)[:, None]
+        xs = np.geomspace(1e-8, 2.0, 15)
+        k, dk, k_nu, dk_nu = _k_dk_series(nus, xs, dnu=True)
+        assert k_nu.shape == dk_nu.shape == k.shape
+        plain = _k_dk_series(nus, xs)
+        assert np.array_equal(k, plain[0]) and np.array_equal(dk, plain[1])
+
+    def test_nu_derivatives_against_mpmath(self):
+        # within 2e-13 of the amplitude |Gamma(i nu)| (1 + |ln(x/2)| + 1/nu) of dK/dnu, and that
+        # times (1 + nu + x)/x for dK'/dnu (measured: 3.4e-14 on 80 seeded points); near nu = 0
+        # dK/dnu is O(nu) but its parts are O(1/nu)
+        rng = np.random.default_rng(5)
+        with mp.workdps(40):
+            for _ in range(30):
+                nu = math.exp(rng.uniform(math.log(0.01), math.log(50.0)))
+                x = math.exp(rng.uniform(math.log(1e-6), math.log(_x_switch(nu))))
+                got = _k_dk_series(nu, x, dnu=True)[2:]
+                k = lambda n: mp.besselk(mp.mpc(0, n), x).real
+                dk = lambda n: -(mp.besselk(mp.mpc(-1, n), x) + mp.besselk(mp.mpc(1, n), x)).real / 2
+                amp = abs_gamma_imag(nu) * (1.0 + abs(math.log(x / 2.0)) + 1.0 / nu)
+                for value, ref, scale in zip(got, (mp.diff(k, nu), mp.diff(dk, nu)),
+                                             (amp, amp * (1.0 + nu + x) / x)):
+                    assert abs(float(value) - ref) <= 2e-13 * scale, (nu, x)
+
     @pytest.mark.parametrize("x", [2.5, 0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310])
     def test_abscissa_out_of_range_rejected(self, x):
         # 2.5: beyond the switch at nu = 1; 5e-324: x/2 underflows; 1e-310: K' overflows
@@ -378,7 +417,7 @@ class TestSeriesEstimate:
             k = besselk_imag(nu, x)
             ref = oracles.k_besselk_ref(nu, x)
             within += abs(k.value - ref) <= k.abs_err_estimate
-        assert within >= 40
+        assert within == 60
 
     def test_grid_within_estimate_against_mpmath(self):
         # c_0 = 1/Gamma(1 + i nu) carries a rounded phase of ~nu ln nu: at x = 2,

@@ -87,7 +87,9 @@ class TestSeriesCount:
         calls = []
         series = ortho_verify._k_dk_series
         monkeypatch.setattr(
-            ortho_verify, "_k_dk_series", lambda nu, x: calls.append(np.array(nu)) or series(nu, x)
+            ortho_verify,
+            "_k_dk_series",
+            lambda nu, x, **kw: calls.append(np.array(nu)) or series(nu, x, **kw),
         )
         return calls
 
@@ -114,31 +116,28 @@ class TestSeriesCount:
             assert np.array_equal(orders, nodes)
 
     def test_smeared_kernel_evaluates_the_fixed_order_once(self, k_eval_calls, series_calls):
-        # nu inside the support of phi: one array call over nu and the four Richardson
-        # orders, whose K and K' at nu serve the sweeps too
-        nu, h = 1.0, 1e-4
+        # nu inside the support of phi: one array call at nu alone, whose K and K' serve
+        # the sweeps and whose nu-derivatives give the diagonal limit
+        nu = 1.0
         ortho_verify._smeared_kernel(nu, [1e-2], TestFunctionSpec("gaussian-bump", 1.0, 0.05))
         assert k_eval_calls == []
-        assert series_calls[0].tolist() == [nu, nu - h, nu + h, nu - h / 2, nu + h / 2]
+        assert series_calls[0].tolist() == nu
         assert len(series_calls) >= 2 and not any(np.any(c == nu) for c in series_calls[1:])
 
     def test_smeared_kernel_sums_one_series_per_sweep_for_all_cutoffs(
         self, k_eval_calls, monkeypatch
     ):
-        # nu inside the support: one Richardson call for all cutoffs, then one
-        # quadrature whose every sweep takes K and K' at all of its nodes and
-        # all cutoffs from one array call
-        nu, h, xis = 1.0, 1e-4, [1e-2, 1e-3, 1e-4, 1e-6]
-        calls, richardson, sweeps = [], [], []
+        # nu inside the support: one call at nu with the nu-derivatives for all
+        # cutoffs, then one quadrature whose every sweep takes K and K' at all of
+        # its nodes and all cutoffs from one array call
+        nu, xis = 1.0, [1e-2, 1e-3, 1e-4, 1e-6]
+        calls, sweeps = [], []
         series = ortho_verify._k_dk_series
         monkeypatch.setattr(
             ortho_verify,
             "_k_dk_series",
-            lambda nu, x: calls.append((np.array(nu), np.array(x))) or series(nu, x),
-        )
-        diagonal = ortho_verify._richardson_diagonal
-        monkeypatch.setattr(
-            ortho_verify, "_richardson_diagonal", lambda *a: richardson.append(a) or diagonal(*a)
+            lambda nu, x, dnu=False: calls.append((np.array(nu), np.array(x), dnu))
+            or series(nu, x, dnu),
         )
         gauss_kronrod = ortho_verify._gauss_kronrod
         monkeypatch.setattr(
@@ -151,20 +150,19 @@ class TestSeriesCount:
         values = ortho_verify._smeared_kernel(nu, xis, TestFunctionSpec("gaussian-bump", 1.0, 0.2))
         assert len(values) == len(xis)
         assert k_eval_calls == []
-        assert len(richardson) == 1 and richardson[0][1].ravel().tolist() == xis
-        (orders, x), *per_sweep = calls
-        assert orders.tolist() == [nu, nu - h, nu + h, nu - h / 2, nu + h / 2]
+        (orders, x, dnu), *per_sweep = calls
+        assert orders.tolist() == nu and dnu
         assert x.shape == (len(xis), 1) and x.ravel().tolist() == xis
         assert len(sweeps) == 1 and len(per_sweep) == len(sweeps[0]) >= 1
-        for nodes, (nup, x) in zip(sweeps[0], per_sweep):
-            assert np.array_equal(nup, nodes)
+        for nodes, (nup, x, dnu) in zip(sweeps[0], per_sweep):
+            assert np.array_equal(nup, nodes) and not dnu
             assert x.shape == (len(xis), 1) and x.ravel().tolist() == xis
 
     def test_diagonal_limit_sums_one_series(self, k_eval_calls, series_calls):
-        nu, xi, h = 1.0, 0.3, 1e-3
-        diagonal_limit(nu, xi, h)
+        nu, xi = 1.0, 0.3
+        diagonal_limit(nu, xi)
         assert k_eval_calls == []
-        assert [c.tolist() for c in series_calls] == [[nu, nu - h, nu + h, nu - h / 2, nu + h / 2]]
+        assert [c.tolist() for c in series_calls] == [nu]
 
 
 class TestKernelQuadrature:
@@ -493,18 +491,45 @@ class TestDiagonalLimit:
         nb = kernel_boundary(PairSpec(1.0, 1.0 + 1e-5, 0.3)).value
         assert nb == pytest.approx(d, abs=1e-4)
 
-    def test_equals_richardson_of_public_wronskian(self):
-        # diagonal_limit takes K and K' from the array series, whose rounding differs
-        # from the public scalar K's; the difference, amplified ~1/h by the
-        # cancellation in the boundary term, stays within that term's own estimate
-        for nu, xi, h in [(1.0, 0.3, 1e-4), (0.4, 1e-6, 1e-4), (3.0, 2.0, 1e-3)]:
-            def even_avg(step):
-                pairs = (wronskian(nu, nu - step, xi), wronskian(nu, nu + step, xi))
-                return 0.5 * (pairs[0][0] + pairs[1][0]), 0.5 * (pairs[0][1] + pairs[1][1])
+    def test_against_frozen_oracle_grid(self):
+        # the closed form's d ln|Gamma(i nu)|/dnu and d psi/dnu parts are of the size of
+        # the secular term kl_weight(nu) ln(2/xi) / pi and cancel to the value, so the
+        # absolute error is a few eps kl_weight(nu): at most 2.5 of it here and on 300
+        # seeded points.  Where the value is much smaller (small nu, or xi near 2) that
+        # exceeds 1e-13 relative: at nu = 0.1, xi = 2 by 1.2e-11
+        eps = np.finfo(float).eps
+        for (nu, xi), ref in oracles.DIAGONAL.items():
+            err = abs(diagonal_limit(nu, xi) - ref)
+            assert err <= max(1e-13 * ref, 4.0 * eps * kl_weight(nu)), (nu, xi, err / ref)
+            if xi <= 0.1:
+                assert err <= max(1e-13, 2.0 * eps / nu**2) * ref, (nu, xi, err / ref)
 
-            (l1, e1), (l2, e2) = even_avg(h), even_avg(0.5 * h)
-            expected = (4.0 * l2 - l1) / 3.0
-            assert abs(diagonal_limit(nu, xi, h) - expected) <= (4.0 * e2 + e1) / 3.0, (nu, xi)
+    def test_live_oracle_spot_check(self):
+        for nu, xi in [(1.0, 1e-3), (0.1, 2.0)]:
+            assert oracles.DIAGONAL[nu, xi] == float(oracles.diagonal_ref(nu, xi))
+
+    def test_is_the_limit_of_one_series_call(self):
+        # L'Hopital on the boundary term: xi (K dK'/dnu - K' dK/dnu) / (2 nu), all from
+        # one series call; nu = 50 is served too (nu + h once passed NU_MAX there)
+        for nu, xi in [(1.0, 0.3), (0.4, 1e-6), (3.0, 2.0), (50.0, 1e-3)]:
+            k, dk, k_nu, dk_nu = bessel_im._k_dk_series(nu, np.array([xi]), dnu=True)
+            assert diagonal_limit(nu, xi) == float(xi * (k * dk_nu - dk * k_nu)[0] / (2.0 * nu))
+
+    @pytest.mark.parametrize(
+        "nu, xi",
+        [(0.0, 0.3), (-1.0, 0.3), (1e-4, 0.3), (1e-5, 0.3), (math.nan, 0.3), (50.1, 0.3),
+         (math.inf, 0.3), (1.0, 0.0), (1.0, -1e-3), (1.0, 2.0000001), (1.0, math.nan),
+         (1.0, 5e-324)],
+    )
+    def test_refusals(self, nu, xi):
+        # nu <= 1e-4 as when nu - h had to stay > 0 for the former default step h = 1e-4;
+        # at xi = 5e-324, xi/2 underflows
+        with pytest.raises(RangeError if xi == 5e-324 else DomainError):
+            diagonal_limit(nu, xi)
+
+    def test_step_is_retired(self):
+        with pytest.raises(TypeError):
+            diagonal_limit(1.0, 0.3, 1e-4)
 
     def test_logarithmic_growth(self):
         xi = 1e-8
