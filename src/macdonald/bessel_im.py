@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Callable, Literal, Sequence, Union
 
 import numpy as np
 
@@ -552,26 +552,41 @@ def besselk_largex_approx(nu: float, x: float) -> float:
     return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
 
 
+def _octave_envelope(
+    x: float, n_samples: int, freqs: Sequence[float], discrepancy: Callable[[np.ndarray], np.ndarray]
+) -> float:
+    """Phase-averaged amplitude near x of an x^2-scaled oscillation in u = ln x at each of freqs.
+
+    Samples one octave of u around x, divides discrepancy(xs) by (xs/x)^2,
+    within [1/2, 2], and projects it onto cos(f u) and sin(f u) for each f
+    by least squares.  The norm of the coefficients does not depend on where
+    the phase sits, so halving x shrinks it by a factor close to 4; it is
+    the envelope at x itself, and nothing overflows at tiny x.
+    """
+    u = np.linspace(math.log(x) - 0.5 * math.log(2.0), math.log(x) + 0.5 * math.log(2.0), n_samples)
+    xs = np.exp(u)
+    y = discrepancy(xs) / (xs / x) ** 2
+    basis = np.vstack([trig(f * u) for f in freqs for trig in (np.cos, np.sin)]).T
+    coeff, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return math.sqrt(float(np.dot(coeff, coeff)))
+
+
 def smallx_error_envelope(nu: float, x: float, n_samples: int = 16) -> float:
     """Phase-averaged envelope of |K_{i nu} - besselk_smallx_approx| near x.
 
     The leading error of the small-x form is an x^2-scaled oscillation in
-    ln x at frequency nu.  Sampling one octave around x and projecting
-    onto the quadrature pair (cos(nu ln x), sin(nu ln x)) extracts an
-    amplitude independent of the local phase, so halving x shrinks it by
-    a factor close to 4.
+    ln x at frequency nu; _octave_envelope fits it over one octave around x.
     """
     nu = abs(_check_order(nu, allow_zero=False))
     x = _check_abscissa(x)
     if x > 1.0:
         raise RangeError("small-x envelope meaningful only for x <= 1")
-    u = np.linspace(math.log(x) - 0.5 * math.log(2.0), math.log(x) + 0.5 * math.log(2.0), n_samples)
-    xs = np.exp(u)
-    approx = np.array([besselk_smallx_approx(nu, float(s)) for s in xs])
-    y = (_k_values([nu], xs)[:, 0] - approx) / xs**2
-    basis = np.vstack([np.cos(nu * u), np.sin(nu * u)]).T
-    coeff, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return x * x * math.sqrt(float(np.dot(coeff, coeff)))
+
+    def discrepancy(xs: np.ndarray) -> np.ndarray:
+        approx = np.array([besselk_smallx_approx(nu, float(s)) for s in xs])
+        return _k_values([nu], xs)[:, 0] - approx
+
+    return _octave_envelope(x, n_samples, (nu,), discrepancy)
 
 
 def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:

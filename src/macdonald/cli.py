@@ -196,13 +196,14 @@ def _cmd_delta_test(args) -> tuple[list[dict], bool]:
             }
         )
     # errors must decrease along the sequence; tolerate one small
-    # oscillatory backstep below the slack fraction
+    # oscillatory backstep below the slack fraction.  One cutoff has no
+    # error to fall, so it checks nothing and does not pass.
     backsteps = [
         later / earlier - 1.0
         for earlier, later in zip(report.errors, report.errors[1:])
         if later > earlier
     ]
-    ok = len(backsteps) <= 1 and all(b < args.slack for b in backsteps)
+    ok = len(report.errors) > 1 and len(backsteps) <= 1 and all(b < args.slack for b in backsteps)
     rows.append(
         {
             "kind": "reflected-bound",
@@ -241,7 +242,8 @@ def _cmd_asym_check(args) -> tuple[list[dict], bool]:
                 "pass": row_ok,
             }
         )
-    return rows, all(row["pass"] for row in rows)
+    # one cutoff has no ratio to check, so it does not pass
+    return rows, len(rows) > 1 and all(row["pass"] for row in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .bessel_im import _EPS, _check_order, _k_and_dk, _k_dk_series, _k_values
+from .bessel_im import _EPS, _check_order, _k_and_dk, _k_dk_series, _k_values, _octave_envelope
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
 from .gamma_core import _TINY, _arg_gamma_one_plus_imag, arg_gamma_imag
 
@@ -333,15 +333,9 @@ def _check_asymptotic(pair: PairSpec) -> None:
         raise NearDiagonalError("diagonal handled by diagonal_limit")
 
 
-def _sinc_constants(nu: float, nup: float) -> tuple[float, float, float]:
-    """arg Gamma(i nu), arg Gamma(i nu') and the sinc prefactor: fixed per order pair."""
-    return arg_gamma_imag(nu), arg_gamma_imag(nup), float(_asym_prefactor(nu, nup))
-
-
-def _sinc_form(
-    nu: float, nup: float, xi: float | np.ndarray, g1: float, g2: float, pref: float
-) -> float | np.ndarray:
+def _sinc_form(nu: float, nup: float, xi: float | np.ndarray) -> float | np.ndarray:
     """The sinc form at cutoff xi, elementwise over an array xi."""
+    g1, g2, pref = arg_gamma_imag(nu), arg_gamma_imag(nup), _asym_prefactor(nu, nup)
     lg = np.log(0.5 * xi)
     term_minus = np.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
     term_plus = np.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
@@ -356,10 +350,9 @@ def kernel_asymptotic(pair: PairSpec) -> KernelValue:
     """
     _check_asymptotic(pair)
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
-    g1, g2, pref = _sinc_constants(nu, nup)
-    value = float(_sinc_form(nu, nup, xi, g1, g2, pref))
+    value = float(_sinc_form(nu, nup, xi))
     # leading corrections inherited from the small-x expansion are O(xi^2)
-    err = pref * xi * xi * 10.0
+    err = float(_asym_prefactor(nu, nup)) * xi * xi * 10.0
     return KernelValue(value=value, method="asymptotic", abs_err_estimate=err)
 
 
@@ -551,35 +544,23 @@ def asymptotic_envelope(
 ) -> float:
     """Phase-averaged envelope of |kernel_asymptotic - kernel_boundary| at xi.
 
-    The discrepancy is a fixed bounded oscillation in ln(xi) (beat
-    frequencies |nu - nu'| and nu + nu') scaled by xi^2.  Sampling one
-    octave around xi and projecting onto the quadrature components at
-    those two frequencies yields an amplitude insensitive to where the
-    phase happens to sit, so successive halvings of xi shrink it by the
-    clean factor 4 instead of an arbitrary sine ratio.
+    The discrepancy is an xi^2-scaled oscillation in ln(xi) at the beat
+    frequencies |nu - nu'| and nu + nu'; _octave_envelope fits it over one
+    octave around xi, so successive halvings of xi shrink it by the clean
+    factor 4 instead of an arbitrary sine ratio.
     """
     PairSpec(nu, nu_prime, xi)  # orders and cutoff are valid before log(xi) is taken
-    u = np.linspace(
-        math.log(xi) - 0.5 * math.log(2.0),
-        math.log(xi) + 0.5 * math.log(2.0),
-        n_samples,
-    )
-    xs = np.exp(u)
-    # K and K' of both orders at all samples come from one series.  The
-    # refusals keep the order in which a sample-by-sample evaluation met
-    # them: the first sample, the sinc constants, the orders (in
-    # _k_dk_series), then xi <= 0.1 for the largest sample (they increase).
-    _check_asymptotic(PairSpec(nu, nu_prime, float(xs[0])))
-    sinc = _sinc_constants(nu, nu_prime)
-    (k1, k2), (d1, d2) = _k_dk_series(np.array([[nu], [nu_prime]]), xs)
-    _check_asymptotic(PairSpec(nu, nu_prime, float(xs[-1])))
-    boundary = _wronskian_term(nu, nu_prime, xs, k1, d1, k2, d2)
-    # scaled by (s/xi)^2, within [1/2, 2], not by s^2: the fitted amplitude is then the
-    # envelope itself, and nothing overflows at tiny xi
-    y = (_sinc_form(nu, nu_prime, xs, *sinc) - boundary) / (xs / xi) ** 2
-    cols = []
-    for f in (abs(nu - nu_prime), nu + nu_prime):
-        cols.append(np.cos(f * u))
-        cols.append(np.sin(f * u))
-    coeff, *_ = np.linalg.lstsq(np.vstack(cols).T, y, rcond=None)
-    return math.sqrt(float(np.dot(coeff, coeff)))
+
+    def discrepancy(xs: np.ndarray) -> np.ndarray:
+        # K and K' of both orders at all samples come from one series.  The
+        # refusals keep the order in which a sample-by-sample evaluation met
+        # them: the first sample, the sinc constants, the orders (in
+        # _k_dk_series), then xi <= 0.1 for the largest sample (they increase).
+        _check_asymptotic(PairSpec(nu, nu_prime, float(xs[0])))
+        with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 where x/2 = 0; K refuses it
+            sinc = _sinc_form(nu, nu_prime, xs)
+        (k1, k2), (d1, d2) = _k_dk_series(np.array([[nu], [nu_prime]]), xs)
+        _check_asymptotic(PairSpec(nu, nu_prime, float(xs[-1])))
+        return sinc - _wronskian_term(nu, nu_prime, xs, k1, d1, k2, d2)
+
+    return _octave_envelope(xi, n_samples, (abs(nu - nu_prime), nu + nu_prime), discrepancy)

@@ -179,6 +179,14 @@ class TestDeltaTest:
             main(["delta-test", "--nu", "1", "--xi", "1e-2", "--phi", "bump:1,0.1"])
         assert exc_info.value.code == 2
 
+    def test_single_cutoff_is_no_pass(self, capsys):
+        # one cutoff gives one error and nothing for it to fall from
+        code, doc = run_cli_json(
+            ["delta-test", "--nu", "1", "--xi", "1e-2", "--phi", "gaussian:1,0.2"], capsys
+        )
+        assert code == 1 and doc["pass"] is False
+        assert [r["kind"] for r in doc["rows"]] == ["weak-limit", "reflected-bound"]
+
 
 class TestAsymCheck:
     def test_example_invocation(self, capsys):
@@ -200,6 +208,13 @@ class TestAsymCheck:
         doc = json.loads(out)
         assert math.isinf(doc["rows"][0]["envelope"])
         assert doc["rows"][0]["pass"] is False
+        assert code == 1 and doc["pass"] is False
+
+    @pytest.mark.parametrize("xi", ["1e-3", "1e-150"])
+    def test_single_cutoff_is_no_pass(self, xi, capsys):
+        # one cutoff gives one envelope and no ratio to check
+        code, doc = run_cli_json(["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", xi], capsys)
+        assert math.isfinite(doc["rows"][0]["envelope"])
         assert code == 1 and doc["pass"] is False
 
     @pytest.mark.parametrize("band", ["1", "1,2,3", "0,1", "1.25,0.75", "1,inf", "nan,1"])

@@ -24,6 +24,7 @@ from macdonald import (
     kernel_quadrature,
     kl_weight,
     phase_function,
+    smallx_error_envelope,
     weak_limit_test,
 )
 
@@ -761,7 +762,7 @@ class TestWeakLimitRegression:
 
 
 class TestEnvelopeAtTinyCutoff:
-    """asymptotic_envelope where a scaling by s^2 overflowed: inf from xi ~ 1e-150, nan below."""
+    """The octave fits where a scaling by s^2 overflowed: inf from xi ~ 1e-150, nan below."""
 
     @pytest.mark.parametrize("xi", [1e-150, 5e-151, 1e-160, 1e-200, 1e-300])
     def test_finite_without_warnings(self, xi):
@@ -772,6 +773,17 @@ class TestEnvelopeAtTinyCutoff:
             envelope = asymptotic_envelope(1.0, 1.5, xi)
         # the true envelope, ~xi^2, lies far below the rounding of the difference of two
         # O(1) kernels, so the fit returns that rounding: finite and small
+        assert 0.0 <= envelope <= 1e-11
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0])
+    @pytest.mark.parametrize("x", [1e-100, 1e-160, 1e-300])
+    def test_smallx_envelope_finite_without_warnings(self, nu, x):
+        # the small-x form's envelope overflowed sooner: inf from x ~ 1e-100, nan from 1e-200
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            envelope = smallx_error_envelope(nu, x)
         assert 0.0 <= envelope <= 1e-11
 
     def test_halving_shrinks_fourfold_while_resolved(self):
