@@ -16,8 +16,9 @@ the two sides returned identical outputs, and the largest absolute
 difference between their output numbers (inf where the outputs differ in
 anything but numbers, such as an error on one side).  It also holds the
 microseconds per call of the scalar and the length-1 array K at
-(nu, x) = (1, 0.5) on the AFTER side, of the public diagonal_limit(1, 1e-4)
-and asymptotic_envelope(1, 1.5, 1e-3) on both sides, and the CPU count.
+(nu, x) = (1, 0.5) on the AFTER side, of the public diagonal_limit(1, 1e-4),
+asymptotic_envelope(1, 1.5, 1e-3) and smallx_error_envelope(1, 1e-3) on both
+sides, and the CPU count.
 """
 
 from __future__ import annotations
@@ -140,6 +141,7 @@ def main() -> int:
     for label, call in (
         ("diagonal_limit(1, 1e-4)", lambda M: M.diagonal_limit(1.0, 1e-4)),
         ("asymptotic_envelope(1, 1.5, 1e-3)", lambda M: M.asymptotic_envelope(1.0, 1.5, 1e-3)),
+        ("smallx_error_envelope(1, 1e-3)", lambda M: M.smallx_error_envelope(1.0, 1e-3)),
     ):
         report[f"{label}_us_per_call"] = {
             side: per_call_us(lambda: call(M), number=500) for side, M in sides.items()

@@ -335,6 +335,42 @@ def _k_series_values(nu: float, x: np.ndarray) -> np.ndarray:
     return -abs_gamma_imag(nu) * im
 
 
+def _k_split(nus: Sequence[float], x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """K_{i nu}(x) and x K'_{i nu}(x), each split into its leading series term and the rest.
+
+    For a few orders 0 < nu <= NU_MAX (checked by the caller) at every
+    0 < x <= _x_switch(nu), one row per order of each of four arrays:
+    K0 = -|Gamma(i nu)| sin psi, x K0' = -nu |Gamma(i nu)| cos psi (the k = 0 term),
+    dK = -|Gamma(i nu)| Im[e^{i psi} T] and x dK' = -|Gamma(i nu)| Im[e^{i psi} (U + i nu T)],
+    with T = sum_{k>=1} c_k h^k, U = sum_{k>=1} 2k c_k h^k, h = (x/2)^2, psi and c_k as in
+    _k_series_values.  K = K0 + dK and x K' = x K0' + x dK'.  The remainders, O(x^2),
+    are summed as such, one product of the powers of h with the coefficients of every
+    order, so they keep their relative precision however small x is; nothing divides by x.
+    """
+    g = np.array([[-abs_gamma_imag(v)] for v in nus])  # refuses subnormal orders first
+    half = 0.5 * x
+    if not half.min() > 0.0:
+        _log_half(float(x.min()))  # x = 5e-324 refuses as on the scalar path
+    h = half * half
+    runs = [list(_series_run(nu, float(h.max())))[1:] for nu in nus]
+    k = np.arange(1.0, max(map(len, runs)) + 1.0)
+    c = np.zeros((len(nus), k.size), dtype=complex)  # c_k of order j in row j; 0 past its count
+    for j, run in enumerate(runs):
+        c[j, : len(run)] = run
+    c = np.concatenate([c, c * (2.0 * k)])
+    sums = np.concatenate([c.real, c.imag]) @ h ** k[:, None]
+    t_re, u_re, t_im, u_im = sums.reshape(4, len(nus), -1)
+    nu = np.array(nus, dtype=float)[:, None]
+    psi = nu * np.log(half) - np.array([[_arg_gamma_one_plus_imag(v)] for v in nus])
+    cos, sin = np.cos(psi), np.sin(psi)
+    return (
+        g * sin,
+        g * nu * cos,
+        g * (sin * t_re + cos * t_im),
+        g * (sin * u_re + cos * u_im + nu * (cos * t_re - sin * t_im)),
+    )
+
+
 def _trapezoid_sums(x: np.ndarray, t: np.ndarray, cos_nt: np.ndarray) -> np.ndarray:
     """sum_t e^{-x cosh t} cos_nt[t] for every x, chunked in t to at most _CHUNK elements."""
     out = np.zeros((x.size, cos_nt.shape[1]))
@@ -568,25 +604,21 @@ def _octave_envelope(
     y = discrepancy(xs) / (xs / x) ** 2
     basis = np.vstack([trig(f * u) for f in freqs for trig in (np.cos, np.sin)]).T
     coeff, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return math.sqrt(float(np.dot(coeff, coeff)))
+    return math.hypot(*coeff)  # a sum of squares would underflow below coefficients ~1e-154
 
 
 def smallx_error_envelope(nu: float, x: float, n_samples: int = 16) -> float:
     """Phase-averaged envelope of |K_{i nu} - besselk_smallx_approx| near x.
 
-    The leading error of the small-x form is an x^2-scaled oscillation in
-    ln x at frequency nu; _octave_envelope fits it over one octave around x.
+    The small-x form is the leading series term of K, so the error is the
+    rest of the series (_k_split), an x^2-scaled oscillation in ln x at
+    frequency nu; _octave_envelope fits it over one octave around x.
     """
     nu = abs(_check_order(nu, allow_zero=False))
     x = _check_abscissa(x)
     if x > 1.0:
         raise RangeError("small-x envelope meaningful only for x <= 1")
-
-    def discrepancy(xs: np.ndarray) -> np.ndarray:
-        approx = np.array([besselk_smallx_approx(nu, float(s)) for s in xs])
-        return _k_values([nu], xs)[:, 0] - approx
-
-    return _octave_envelope(x, n_samples, (nu,), discrepancy)
+    return _octave_envelope(x, n_samples, (nu,), lambda xs: _k_split((nu,), xs)[2][0])
 
 
 def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .bessel_im import besselk_imag
-from .errors import MacdonaldError
+from .errors import DomainError, MacdonaldError
 from .gamma_core import abs_gamma_imag, arg_gamma_imag, log_gamma
 from .ortho_verify import (
     PairSpec,
@@ -222,12 +222,15 @@ def _cmd_delta_test(args) -> tuple[list[dict], bool]:
 def _cmd_asym_check(args) -> tuple[list[dict], bool]:
     lo, hi = args.ratio_band
     xis = sorted(args.xi, reverse=True)
+    if any(a == b for a, b in zip(xis, xis[1:])):  # ratio 1 against (step)^2 = 1 checks nothing
+        raise DomainError("xi cutoffs must be distinct")
     envs = [asymptotic_envelope(args.nu, args.nu2, xi) for xi in xis]
     rows = []
     for i, (xi, env) in enumerate(zip(xis, envs)):
-        ratio = envs[i - 1] / env if i > 0 else None
-        row_ok = True
-        if ratio is not None:
+        ratio, row_ok = None, True
+        if i > 0:
+            # an envelope below the smallest subnormal rounds to 0: no finite ratio, so no pass
+            ratio = envs[i - 1] / env if env else math.nan
             # halving xi should shrink the envelope ~4x; rescale other steps
             step = xis[i - 1] / xi
             expected = step * step

@@ -15,7 +15,16 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .bessel_im import _EPS, _check_order, _k_and_dk, _k_dk_series, _k_values, _octave_envelope
+from .bessel_im import (
+    _EPS,
+    _check_order,
+    _k_and_dk,
+    _k_dk_series,
+    _k_split,
+    _k_values,
+    _log_half,
+    _octave_envelope,
+)
 from .errors import ConvergenceError, DomainError, NearDiagonalError, RangeError
 from .gamma_core import _TINY, _arg_gamma_one_plus_imag, arg_gamma_imag
 
@@ -333,13 +342,13 @@ def _check_asymptotic(pair: PairSpec) -> None:
         raise NearDiagonalError("diagonal handled by diagonal_limit")
 
 
-def _sinc_form(nu: float, nup: float, xi: float | np.ndarray) -> float | np.ndarray:
-    """The sinc form at cutoff xi, elementwise over an array xi."""
+def _sinc_form(nu: float, nup: float, xi: float) -> float:
+    """The sinc form at cutoff xi; x/2 = 0 is refused as on the series path."""
     g1, g2, pref = arg_gamma_imag(nu), arg_gamma_imag(nup), _asym_prefactor(nu, nup)
-    lg = np.log(0.5 * xi)
-    term_minus = np.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
-    term_plus = np.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
-    return pref * (term_minus + term_plus)
+    lg = _log_half(xi)
+    term_minus = math.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
+    term_plus = math.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
+    return float(pref * (term_minus + term_plus))
 
 
 def kernel_asymptotic(pair: PairSpec) -> KernelValue:
@@ -350,7 +359,7 @@ def kernel_asymptotic(pair: PairSpec) -> KernelValue:
     """
     _check_asymptotic(pair)
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
-    value = float(_sinc_form(nu, nup, xi))
+    value = _sinc_form(nu, nup, xi)
     # leading corrections inherited from the small-x expansion are O(xi^2)
     err = float(_asym_prefactor(nu, nup)) * xi * xi * 10.0
     return KernelValue(value=value, method="asymptotic", abs_err_estimate=err)
@@ -552,15 +561,19 @@ def asymptotic_envelope(
     PairSpec(nu, nu_prime, xi)  # orders and cutoff are valid before log(xi) is taken
 
     def discrepancy(xs: np.ndarray) -> np.ndarray:
-        # K and K' of both orders at all samples come from one series.  The
-        # refusals keep the order in which a sample-by-sample evaluation met
-        # them: the first sample, the sinc constants, the orders (in
-        # _k_dk_series), then xi <= 0.1 for the largest sample (they increase).
+        # The refusals keep the order in which a sample-by-sample evaluation met
+        # them: the first sample, the sinc prefactor, the orders, xi <= 0.1 for
+        # the largest sample (they increase), then x/2 = 0 (in _k_split).
         _check_asymptotic(PairSpec(nu, nu_prime, float(xs[0])))
-        with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 where x/2 = 0; K refuses it
-            sinc = _sinc_form(nu, nu_prime, xs)
-        (k1, k2), (d1, d2) = _k_dk_series(np.array([[nu], [nu_prime]]), xs)
+        _asym_prefactor(nu, nu_prime)
+        for order in (nu, nu_prime):
+            _check_order(order)
         _check_asymptotic(PairSpec(nu, nu_prime, float(xs[-1])))
-        return sinc - _wronskian_term(nu, nu_prime, xs, k1, d1, k2, d2)
+        # The sinc form is the boundary term of the leading series terms K0, x K0' alone,
+        # so sinc - boundary is the part of the Wronskian with a remainder dK or x dK'
+        # in it: O(xi^2), summed with no O(1) part to cancel.
+        (k01, k02), (xk01, xk02), (dk1, dk2), (xdk1, xdk2) = _k_split((nu, nu_prime), xs)
+        cross = k01 * xdk2 + dk1 * (xk02 + xdk2) - k02 * xdk1 - dk2 * (xk01 + xdk1)
+        return cross / (nu * nu - nu_prime * nu_prime)
 
     return _octave_envelope(xi, n_samples, (abs(nu - nu_prime), nu + nu_prime), discrepancy)

@@ -166,6 +166,10 @@ ENVELOPE = {
     (0.5, 0.6, 5e-4): 7.145137521324606e-08,
 }
 
+# an envelope-only case, from envelope_ref at 30 digits: kernels of size 1/nu ~ 100
+# make the per-sample difference of two O(1) kernels too coarse for it
+ENVELOPE_SMALL_ORDERS = {(0.01, 0.02, 1e-3): 8.834264502851563e-04}
+
 # diagonal_limit's test grid, from diagonal_ref at 40 digits
 DIAGONAL = {
     (0.001, 1e-300): 99898044.98342016,

@@ -217,6 +217,24 @@ class TestAsymCheck:
         assert math.isfinite(doc["rows"][0]["envelope"])
         assert code == 1 and doc["pass"] is False
 
+    def test_repeated_cutoff_is_domain_error(self, capsys):
+        # ratio 1 against an expected (step)^2 of 1 would check nothing
+        code = main(["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-3,1e-3"])
+        assert code == 2 and "distinct" in capsys.readouterr().err
+
+    def test_passes_below_xi_1e_6(self, capsys):
+        argv = ["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-8,5e-9,2.5e-9"]
+        code, doc = run_cli_json(argv, capsys)
+        assert code == 0 and doc["pass"] is True
+
+    def test_zero_envelope_is_no_pass(self, capsys):
+        # below xi ~ 1e-161 the envelope rounds to 0, so the ratio is not finite
+        argv = ["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-200,5e-201"]
+        code, doc = run_cli_json(argv, capsys)
+        assert doc["rows"][1]["envelope"] == 0.0
+        assert not math.isfinite(doc["rows"][1]["ratio_from_previous"])
+        assert code == 1 and doc["pass"] is False
+
     @pytest.mark.parametrize("band", ["1", "1,2,3", "0,1", "1.25,0.75", "1,inf", "nan,1"])
     def test_bad_ratio_band_is_usage_error(self, band):
         argv = ["asym-check", "--nu", "1", "--nu2", "1.3", "--xi", "0.01,0.005"]

@@ -325,11 +325,14 @@ class TestKernelAsymptotic:
         diff = abs(kernel_asymptotic(pair).value - kernel_boundary(pair).value)
         assert diff <= 20.0 * 1e-8  # C * xi^2 with a generous constant
 
-    # The envelope fits differences of size xi^2 between O(1) kernels, so
-    # its rounding noise is large: the per-sample loop below is 3.7e-5 off
-    # the 30-digit envelope at (0.5, 0.6, 5e-4) and 3e-7 or less on the
-    # other cases.  The bound leaves a factor of about 2.7 over the worst.
-    ENVELOPE_REL_BOUND = 1e-4
+    # The per-sample loop below fits differences of size xi^2 between O(1)
+    # kernels, so its rounding noise is large: it is 3.7e-5 off the 30-digit
+    # envelope at (0.5, 0.6, 5e-4) and 3e-7 or less on the other cases; its
+    # bound leaves a factor of about 2.7 over the worst.  asymptotic_envelope
+    # sums the O(xi^2) discrepancy from the series terms beyond the first and
+    # is within 3e-12 on these cases and 5e-8 at (0.01, 0.02, 1e-3).
+    PER_SAMPLE_REL_BOUND = 1e-4
+    ENVELOPE_REL_BOUND = 1e-6
 
     def test_envelope_within_reference_bound(self):
         for (nu, nup, xi), ref in oracles.ENVELOPE.items():
@@ -343,9 +346,25 @@ class TestKernelAsymptotic:
             cols = [g(f * u) for f in (abs(nu - nup), nu + nup) for g in (np.cos, np.sin)]
             coeff, *_ = np.linalg.lstsq(np.vstack(cols).T, y, rcond=None)
             per_sample = xi * xi * math.sqrt(float(np.dot(coeff, coeff)))
-            assert abs(per_sample - ref) <= self.ENVELOPE_REL_BOUND * ref, (nu, nup, xi)
+            assert abs(per_sample - ref) <= self.PER_SAMPLE_REL_BOUND * ref, (nu, nup, xi)
             envelope = asymptotic_envelope(nu, nup, xi)
             assert abs(envelope - ref) <= self.ENVELOPE_REL_BOUND * ref, (nu, nup, xi)
+
+    def test_envelope_at_small_orders(self):
+        # subtracting the sinc form and the boundary term, each far larger than this
+        # envelope, was 15 % off here
+        for (nu, nup, xi), ref in oracles.ENVELOPE_SMALL_ORDERS.items():
+            envelope = asymptotic_envelope(nu, nup, xi)
+            assert abs(envelope - ref) <= self.ENVELOPE_REL_BOUND * ref, (nu, nup, xi)
+
+    def test_envelope_over_xi_squared_is_flat_down_to_tiny_cutoffs(self):
+        scaled = [asymptotic_envelope(1.0, 1.5, xi) / xi**2 for xi in (1e-8, 1e-50, 1e-100, 1e-150)]
+        assert all(abs(s / scaled[0] - 1.0) <= 1e-9 for s in scaled), scaled
+
+    def test_sinc_form_refuses_vanishing_half_cutoff(self):
+        # xi/2 rounds to 0 at the smallest subnormal, as on both K paths
+        with pytest.raises(RangeError):
+            kernel_asymptotic(PairSpec(1.0, 1.5, 5e-324))
 
     def test_envelope_reference_spot_check(self):
         # recompute one frozen envelope at 30 digits
@@ -771,8 +790,7 @@ class TestEnvelopeAtTinyCutoff:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's overflow and divide warnings too
             envelope = asymptotic_envelope(1.0, 1.5, xi)
-        # the true envelope, ~xi^2, lies far below the rounding of the difference of two
-        # O(1) kernels, so the fit returns that rounding: finite and small
+        # the envelope, about 7e-3 xi^2, is subnormal or 0 below xi ~ 2e-153: finite and small
         assert 0.0 <= envelope <= 1e-11
 
     @pytest.mark.parametrize("nu", [0.3, 1.0])
@@ -786,7 +804,14 @@ class TestEnvelopeAtTinyCutoff:
             envelope = smallx_error_envelope(nu, x)
         assert 0.0 <= envelope <= 1e-11
 
+    @pytest.mark.parametrize("nu", [0.3, 1.0])
+    def test_smallx_envelope_over_x_squared_is_flat(self, nu):
+        # the difference of two O(1) values read 87002 x^2 at (1, 1e-10), against 0.0922 x^2
+        ref = smallx_error_envelope(nu, 1e-6) / 1e-12
+        for x in (1e-10, 1e-50, 1e-100, 1e-150):
+            assert abs(smallx_error_envelope(nu, x) / x**2 / ref - 1.0) <= 1e-9, x
+
     def test_halving_shrinks_fourfold_while_resolved(self):
-        # at xi = 1e-5 the envelope, ~7e-13, is still far above that rounding
+        # at xi = 1e-5 the envelope is about 7e-13
         ratio = asymptotic_envelope(1.0, 1.5, 1e-5) / asymptotic_envelope(1.0, 1.5, 5e-6)
         assert 0.75 * 4.0 <= ratio <= 1.25 * 4.0  # asym-check's default band
