@@ -327,8 +327,14 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
 
 def _asym_prefactor(nu: float, nup: float | np.ndarray) -> float | np.ndarray:
     """pi / (2 sqrt(nu nu' sinh(pi nu) sinh(pi nu'))), elementwise over an array nu'."""
-    den = 2.0 * np.sqrt(nu * nup * math.sinh(math.pi * nu) * np.sinh(math.pi * nup))
-    if (den == 0.0).any():  # nu nu' sinh(pi nu) sinh(pi nu') underflows for tiny orders
+    try:
+        sinh_nu = math.sinh(math.pi * nu)
+    except OverflowError:  # orders beyond about 226; refused below like an overflowing product
+        sinh_nu = math.inf
+    with np.errstate(over="ignore"):
+        den = 2.0 * np.sqrt(nu * nup * sinh_nu * np.sinh(math.pi * nup))
+    # nu nu' sinh(pi nu) sinh(pi nu') underflows for tiny orders and overflows for huge ones
+    if not ((den > 0.0) & (den < math.inf)).all():
         raise DomainError(
             f"sinc-form prefactor not representable at nu = {nu:g}, nu' = {np.min(nup):g}"
         )

@@ -377,6 +377,7 @@ class TestKernelAsymptotic:
         [
             (60.0, 1.0, 0.09, DomainError),  # order above NU_MAX, met before the sample above 0.1
             (1e-300, 1.0, 0.09, DomainError),  # sinc prefactor, met before the sample above 0.1
+            (1e300, 1e-4, 1e-2, DomainError),  # sinc prefactor overflows: refused, not OverflowError
             (1.0, 1.5, 0.09, RangeError),  # the last samples lie above xi = 0.1
             (1.0, 1.5, 0.2, RangeError),
             (1.0, 1.0 + 1e-9, 1e-3, NearDiagonalError),
