@@ -18,7 +18,9 @@ anything but numbers, such as an error on one side).  It also holds the
 microseconds per call of the scalar and the length-1 array K at
 (nu, x) = (1, 0.5) on the AFTER side, of the public diagonal_limit(1, 1e-4),
 asymptotic_envelope(1, 1.5, 1e-3) and smallx_error_envelope(1, 1e-3) on both
-sides, and the CPU count.
+sides, the microseconds per call and the tracemalloc peak in bytes of
+besselk_imag + besselk_dx at (36.21, 38.49), where the scalar integral path
+runs all 12 doublings, on both sides, and the CPU count.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import statistics
 import sys
 import time
 import timeit
+import tracemalloc
 
 import numpy as np
 
@@ -90,6 +93,23 @@ def length_one_timing(M) -> dict:
         "_k_values([1], [0.5])": per_call_us(lambda: b._k_values([1.0], x1)),
         "_k_dk_series(1, [0.5])": per_call_us(lambda: b._k_dk_series(1.0, x1)),
     }
+
+
+def deep_integral(M) -> tuple[float, int]:
+    """Microseconds per call and traced peak bytes of besselk_imag + besselk_dx at (36.21, 38.49)."""
+
+    def call():
+        M.besselk_imag(36.21, 38.49)
+        M.besselk_dx(36.21, 38.49)
+
+    call()  # first-use set-up stays outside the peak
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return min(timeit.repeat(call, number=1, repeat=7)) * 1e6, peak
 
 
 def main() -> int:
@@ -146,6 +166,11 @@ def main() -> int:
         report[f"{label}_us_per_call"] = {
             side: per_call_us(lambda: call(M), number=500) for side, M in sides.items()
         }
+    deep = {side: deep_integral(M) for side, M in sides.items()}
+    report["besselk_imag+besselk_dx(36.21, 38.49)"] = {
+        "us_per_call": {side: us for side, (us, _) in deep.items()},
+        "tracemalloc_peak_bytes": {side: peak for side, (_, peak) in deep.items()},
+    }
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Literal, Sequence, Union
 
 import numpy as np
@@ -208,43 +209,44 @@ def _k_series(nu: float, x: float, deriv: int = 0) -> tuple[float, float, float]
 def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
     """K (or derivative) from int_0^inf e^{-x cosh t} cos(nu t) dt.
 
-    Trapezoidal rule on [0, T] with e^{-x cosh T} <= 1e-20; the
-    double-exponential decay of the integrand makes the rule converge
-    exponentially in the step size.  Summation uses math.fsum so the
-    roundoff stays at one ulp of the sum even under heavy cancellation
-    (nu > x regime).
+    Trapezoidal rule on [0, T] with e^{-x cosh T} <= 1e-20, which converges exponentially
+    in the step size.  Each node is evaluated once: a doubling adds its odd nodes j T/n in
+    blocks of 4096, and the even ones are the last level's, bitwise where np.linspace puts
+    them.  math.fsum takes every node's value block by block, exactly rounded whatever the
+    order, so heavy cancellation (nu > x) costs one ulp.  Memory: 8 bytes a node kept
+    (2.1 MB at the 12th doubling, 262 145 nodes) and one block's temporaries.
     """
     nu = abs(nu)
     T = _integral_span(x)
-    sign = -1.0 if deriv == 1 else 1.0
 
-    def trap(n: int) -> float:
-        t = np.linspace(0.0, T, n + 1)
+    def f(t: np.ndarray) -> np.ndarray:
         ch = np.cosh(t)
-        f = np.exp(-x * ch) * np.cos(nu * t)
+        out = np.exp(-x * ch) * np.cos(nu * t)
         if deriv:
-            f *= ch**deriv
-        f[0] *= 0.5
-        f[-1] *= 0.5
-        return (T / n) * math.fsum(f.tolist())
+            out *= ch**deriv
+        return out
 
     n = 64
+    blocks = [f(np.linspace(0.0, T, n + 1))]
+    blocks[0][[0, -1]] *= 0.5
+
+    def trap(n: int) -> float:
+        return (T / n) * math.fsum(chain.from_iterable(b.tolist() for b in blocks))
+
     prev = trap(n)
     last_change = math.inf
-    scale = math.exp(-x)
     for _ in range(12):
         n *= 2
+        blocks += (f(np.arange(j, min(j + 8192, n), 2) * (T / n)) for j in range(1, n, 8192))
         cur = trap(n)
         change = abs(cur - prev)
         # <=, not <: once e^{-x} underflows the sums and the bound are all exactly 0
-        if change <= 1e-13 * abs(cur) + 1e-18 * scale and last_change < math.inf:
-            prev = cur
-            last_change = change
+        stop = change <= 1e-13 * abs(cur) + 1e-18 * math.exp(-x) and last_change < math.inf
+        prev, last_change = cur, change
+        if stop:
             break
-        last_change = change
-        prev = cur
     tail = math.exp(-x * math.cosh(T)) / (x * math.sinh(T))
-    return sign * prev, last_change + tail + _EPS * abs(prev)
+    return (-prev if deriv == 1 else prev), last_change + tail + _EPS * abs(prev)
 
 
 def _k_from_i(nu: float, x: float, deriv: int) -> tuple[float, float]:

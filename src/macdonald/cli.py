@@ -4,7 +4,7 @@ Subcommands map one-to-one onto library operations and emit
 machine-readable reports (JSON or CSV) on standard output.  Exit codes:
 0 all checks passed, 1 a check failed or a reported number is not
 finite, 2 usage or domain error.  Numeric fields are serialized with 17
-significant digits so binary64 values round-trip.
+significant digits so binary64 values round-trip, a non-finite one as null.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ EXIT_USAGE = 2
 
 
 def _fmt(x: Any) -> Any:
-    """Serialize floats with 17 significant digits (binary64 round-trip)."""
+    """Serialize floats with 17 significant digits (binary64 round-trip), non-finite as None."""
     if isinstance(x, bool) or not isinstance(x, float):
         return x
-    return float(f"{x:.17g}")
+    return float(f"{x:.17g}") if math.isfinite(x) else None
 
 
 def _float_list(text: str) -> list[float]:
@@ -51,6 +51,17 @@ def _float_list(text: str) -> list[float]:
     if not values:  # a report with no rows would check nothing
         raise argparse.ArgumentTypeError(f"empty numeric list {text!r}")
     return values
+
+
+def _finite(text: str) -> float:
+    """One finite number: a nan or inf tolerance checks nothing, and JSON cannot hold it."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -93,7 +104,7 @@ def _emit(command: str, parameters: dict, rows: list[dict], passed: bool, fmt: s
             "rows": [{k: _fmt(v) for k, v in row.items()} for row in rows],
             "pass": passed,
         }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
@@ -271,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="|Gamma(i nu)| and arg Gamma(i nu) with cross-check")
     p.add_argument("--nu", type=_float_list, required=True)
-    p.add_argument("--tol", type=float, default=1e-12, help="cross-check tolerance (default 1e-12)")
+    p.add_argument(
+        "--tol", type=_finite, default=1e-12, help="cross-check tolerance (default 1e-12)"
+    )
     add_common(p)
     p.set_defaults(func=_cmd_gamma)
 
@@ -281,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--nu2", type=float, required=True)
     p.add_argument("--xi", type=_float_list, required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help="agreement tolerance (default 1e-8)")
+    p.add_argument("--tol", type=_finite, default=1e-8, help="agreement tolerance (default 1e-8)")
     add_common(p)
     p.set_defaults(func=_cmd_identity_check)
 
@@ -299,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=_float_list, required=True, help="decreasing cutoffs")
     p.add_argument("--phi", type=_parse_phi, required=True, help="e.g. gaussian:1,0.2")
     p.add_argument(
-        "--slack", type=float, default=0.1, help="allowed fraction for one non-monotone step"
+        "--slack", type=_finite, default=0.1, help="allowed fraction for one non-monotone step"
     )
     add_common(p)
     p.set_defaults(func=_cmd_delta_test)

@@ -58,7 +58,7 @@ def __getattr__(name: str):
 
     Nothing in the package uses it: perfbench/tracer.py rebinds
     `ortho_verify.integrate.quad`, and this keeps scipy off the import path
-    of everything else.  The benchmark change of ROADMAP item 7 deletes it.
+    of everything else.  The benchmark change of ROADMAP item 1 deletes it.
     """
     if name == "integrate":
         from scipy import integrate

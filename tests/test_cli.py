@@ -29,9 +29,18 @@ def run_cli(args, capsys):
     return code, out
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 JSON does not have."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli_json(args, capsys):
     code, out = run_cli(args + ["--format", "json"], capsys)
-    doc = json.loads(out)
+    doc = strict_json(out)
     jsonschema.validate(doc, SCHEMA)
     return code, doc
 
@@ -71,7 +80,7 @@ class TestEval:
         fv = FunctionValue(besselk_imag(1.0, 1.0).value, math.inf, "series-combination")
         monkeypatch.setattr(cli, "besselk_imag", lambda nu, x: fv)
         code, doc = run_cli_json(["eval", "--nu", "1", "--x", "1"], capsys)
-        assert math.isinf(doc["rows"][0]["abs_err_estimate"])
+        assert doc["rows"][0]["abs_err_estimate"] is None  # inf, written as null
         assert code == 1 and doc["pass"] is False
 
     def test_subnormal_order_takes_the_order_zero_route(self, capsys):
@@ -205,8 +214,8 @@ class TestAsymCheck:
 
         monkeypatch.setattr(cli, "asymptotic_envelope", lambda nu, nu2, xi: math.inf)
         code, out = run_cli(["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-3"], capsys)
-        doc = json.loads(out)
-        assert math.isinf(doc["rows"][0]["envelope"])
+        doc = strict_json(out)
+        assert doc["rows"][0]["envelope"] is None  # inf, written as null
         assert doc["rows"][0]["pass"] is False
         assert code == 1 and doc["pass"] is False
 
@@ -232,7 +241,7 @@ class TestAsymCheck:
         argv = ["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", "1e-200,5e-201"]
         code, doc = run_cli_json(argv, capsys)
         assert doc["rows"][1]["envelope"] == 0.0
-        assert not math.isfinite(doc["rows"][1]["ratio_from_previous"])
+        assert doc["rows"][1]["ratio_from_previous"] is None  # nan, written as null
         assert code == 1 and doc["pass"] is False
 
     @pytest.mark.parametrize("band", ["1", "1,2,3", "0,1", "1.25,0.75", "1,inf", "nan,1"])
@@ -290,7 +299,7 @@ def test_readme_shows_every_subcommand():
 def test_readme_example_runs(argv, capsys):
     # the README and the CLI agree: each example passes with a valid JSON report
     code, out = run_cli(argv, capsys)
-    doc = json.loads(out)
+    doc = strict_json(out)
     jsonschema.validate(doc, SCHEMA)
     assert code == 0
     assert doc["command"] == argv[0]
@@ -309,10 +318,14 @@ _SCAN = ["ortho-scan", "--nu", "1", "--xi", "1e-4", "--nu2-min", "0.5", "--nu2-m
         ["asym-check", "--nu", "1", "--nu2", "1.5", "--xi", ","],
         _SCAN + ["--n", "0"],
         _SCAN + ["--n=-3"],
+        ["gamma", "--nu", "1", "--tol", "nan"],
+        ["identity-check", "--nu", "1", "--nu2", "2", "--xi", "0.1", "--tol=-inf"],
+        ["delta-test", "--nu", "1", "--xi", "0.1", "--phi", "gaussian:1,0.2", "--slack", "inf"],
     ],
 )
 def test_report_that_checks_nothing_is_usage_error(argv, capsys):
-    # an empty list or no scan points would give a report with no rows, "pass": true
+    # an empty list or no scan points would give a report with no rows, "pass": true;
+    # a nan or inf tolerance checks nothing either, and a JSON report cannot hold it
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
     captured = capsys.readouterr()
@@ -364,7 +377,8 @@ _ARGVS = st.one_of(
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_ARGVS)
 def test_exit_code_contract(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy and quad warnings are not part of the contract
             try:
@@ -373,3 +387,5 @@ def test_exit_code_contract(argv):
                 assert exc.code == 2, argv
                 return
     assert code in (0, 1, 2), argv
+    if code != 2 and argv[2] == "json":  # a report is strict JSON within the schema
+        jsonschema.validate(strict_json(out.getvalue()), SCHEMA)
