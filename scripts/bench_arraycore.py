@@ -17,7 +17,9 @@ difference between their output numbers (inf where the outputs differ in
 anything but numbers, such as an error on one side).  It also holds the
 microseconds per call of the scalar and the length-1 array K at
 (nu, x) = (1, 0.5) on the AFTER side, of the public diagonal_limit(1, 1e-4),
-asymptotic_envelope(1, 1.5, 1e-3) and smallx_error_envelope(1, 1e-3) on both
+asymptotic_envelope(1, 1.5, 1e-3), smallx_error_envelope(1, 1e-3) and
+kernel_quadrature(PairSpec(1, 1.5, 1e-3)) and of the array K
+_k_values((1, 1.5), x) at 22 integral-path abscissae x in (2, 10] on both
 sides, the microseconds per call and the tracemalloc peak in bytes of
 besselk_imag + besselk_dx at (36.21, 38.49), where the scalar integral path
 runs all 12 doublings, on both sides, and the CPU count.
@@ -47,6 +49,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("k_points", "weak_limit", "kernel_pairs")
+X_INTEGRAL = np.linspace(10.0, 2.0, 22, endpoint=False)[::-1]  # 22 abscissae in (2, 10]
 
 
 def load_module(name: str, path: str, package_dir: str | None = None):
@@ -158,13 +161,23 @@ def main() -> int:
             "max_abs_output_diff": diff,
         }
     report["us_per_call_after"] = length_one_timing(sides["after"])
-    for label, call in (
-        ("diagonal_limit(1, 1e-4)", lambda M: M.diagonal_limit(1.0, 1e-4)),
-        ("asymptotic_envelope(1, 1.5, 1e-3)", lambda M: M.asymptotic_envelope(1.0, 1.5, 1e-3)),
-        ("smallx_error_envelope(1, 1e-3)", lambda M: M.smallx_error_envelope(1.0, 1e-3)),
+    for label, call, number in (
+        ("diagonal_limit(1, 1e-4)", lambda M: M.diagonal_limit(1.0, 1e-4), 500),
+        ("asymptotic_envelope(1, 1.5, 1e-3)", lambda M: M.asymptotic_envelope(1.0, 1.5, 1e-3), 500),
+        ("smallx_error_envelope(1, 1e-3)", lambda M: M.smallx_error_envelope(1.0, 1e-3), 500),
+        (
+            "kernel_quadrature(PairSpec(1, 1.5, 1e-3))",
+            lambda M: M.kernel_quadrature(M.PairSpec(1.0, 1.5, 1e-3)),
+            100,
+        ),
+        (
+            "_k_values((1, 1.5), 22 x in (2, 10])",
+            lambda M: M.bessel_im._k_values((1.0, 1.5), X_INTEGRAL),
+            500,
+        ),
     ):
         report[f"{label}_us_per_call"] = {
-            side: per_call_us(lambda: call(M), number=500) for side, M in sides.items()
+            side: per_call_us(lambda: call(M), number=number) for side, M in sides.items()
         }
     deep = {side: deep_integral(M) for side, M in sides.items()}
     report["besselk_imag+besselk_dx(36.21, 38.49)"] = {

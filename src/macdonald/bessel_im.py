@@ -393,39 +393,50 @@ def _k_integral_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     product, about 8 eps sqrt(n) h sum|f|: without math.fsum the change
     between doublings settles there, and _k_integral's rule alone would
     not hold at nu >~ 5.  A row (one x) stops doubling once every order
-    meets the rule and the floor.
+    meets the rule and the floor, never before 256 intervals.  So the first
+    two doublings come from one evaluation of their 257 nodes (a pass per
+    level beyond _CHUNK elements), each level's sum taken as before.
     """
     m = len(nus)
     nu = np.array(nus)
     T = _integral_span(float(x.min()))
 
-    def cos_columns(t: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        c = np.cos(np.multiply.outer(t, nu)) * weight[:, None]
+    def cos_columns(t: np.ndarray) -> np.ndarray:
+        c = np.cos(np.multiply.outer(t, nu))
         return np.hstack([c, np.abs(c)])
 
-    n = 64
-    t = np.linspace(0.0, T, n + 1)
-    weight = np.ones(n + 1)
-    weight[[0, -1]] = 0.5
-    sums = _trapezoid_sums(x, t, cos_columns(t, weight))  # [sum f | sum |f|], endpoints halved
-    value = (T / n) * sums[:, :m]
+    # j T/256 has the bits of its level's node (k T/64 from linspace, odd multiples of T/128 and
+    # T/256 after it), in columns: the nodes of 64 intervals, then the new ones of 128 and of 256
+    j = np.concatenate([np.arange(0, 257, 4), np.arange(2, 256, 4), np.arange(1, 256, 2)])
+    t = (T / 256) * j
+    cos_nt = cos_columns(t)
+    cos_nt[0:65:64] *= 0.5  # [f | |f|] with the endpoints of 64 intervals halved
+    levels = (slice(0, 65), slice(65, 129), slice(129, None))
+    if x.size * t.size <= _CHUNK:  # each level its own product, 0.0 + as in _trapezoid_sums
+        e = np.multiply.outer(x, -np.cosh(t))
+        np.exp(e, out=e)
+        sums, new_128, new_256 = (0.0 + e[:, s] @ cos_nt[s] for s in levels)
+    else:
+        sums, new_128, new_256 = (_trapezoid_sums(x, t[s], cos_nt[s]) for s in levels)
+    sums += new_128
+    value = (T / 128) * sums[:, :m]  # as in _k_integral, the first change never stops the rule
+    sums += new_256
     scale = np.exp(-x)[:, None]
     rows = np.arange(x.size)
-    for doubling in range(12):
-        n *= 2
+    n = 256
+    while True:
         h = T / n
-        t = h * np.arange(1, n, 2)
-        sums[rows] += _trapezoid_sums(x[rows], t, cos_columns(t, np.ones(t.size)))
         cur = h * sums[rows, :m]
         change = np.abs(cur - value[rows])
         floor = 8.0 * _EPS * math.sqrt(n) * h * sums[rows, m:]
         bound = 1e-13 * np.abs(cur) + 1e-18 * scale[rows] + floor
         value[rows] = cur
-        if doubling:  # as in _k_integral, the first change never stops the rule
-            rows = rows[~np.all(change <= bound, axis=1)]
-            if not rows.size:
-                break
-    return value
+        rows = rows[~np.all(change <= bound, axis=1)]
+        if not rows.size or n == 64 << 12:  # at most 12 doublings
+            return value
+        n *= 2
+        t = (T / n) * np.arange(1, n, 2)
+        sums[rows] += _trapezoid_sums(x[rows], t, cos_columns(t))
 
 
 def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
@@ -448,11 +459,14 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     if integral.any():
         top = x[integral].max()
         cols = [j for j, s in enumerate(switch) if s < top]  # the orders with an integral row
-        out[np.ix_(integral, cols)] = _k_integral_values([orders[j] for j in cols], x[integral])
+        every = integral.all()  # then no mask and no scatter
+        k = _k_integral_values([orders[j] for j in cols], x if every else x[integral])
+        out[(slice(None), cols) if every else np.ix_(integral, cols)] = k
     for j, nu in enumerate(orders):
         series = x <= switch[j]
         if series.any():
-            out[series, j] = _k_series_values(nu, x[series])
+            rows = slice(None) if series.all() else series
+            out[rows, j] = _k_series_values(nu, x[rows])
     return out
 
 
@@ -628,16 +642,17 @@ def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:
 
     For family "K": |d/dx(x K') + (nu^2/x - x) K| / ((nu^2/x + x) |K|)
     with all derivatives termwise.  For family "I" the same identity is
-    checked for I_{i nu} (complex), normalized the same way.
+    checked for I_{i nu} (complex), normalized the same way.  RangeError outside its x range.
     """
     nu_s = abs(_check_order(nu))
     x = _check_abscissa(x)
+    top = X_SERIES_MAX if family == "I" else 700.0  # K underflows, the I series loses its range
+    if not 1e-150 <= x <= top:  # below, 1/x^2 of the second derivatives nears the top of the floats
+        raise RangeError(f"ode_residual supports 1e-150 <= x <= {top:g}, got {x!r}")
     weight = nu_s * nu_s / x - x
     norm = abs(nu_s * nu_s / x) + x
     if family == "I":
         f0, f1, f2 = (_i_series(nu_s, x, d)[0] for d in (0, 1, 2))
-        resid = x * f2 + f1 + weight * f0
-        return abs(resid) / (norm * abs(f0))
-    (k0, _), (k1, _), (k2, _) = _k_eval(nu_s, x, orders=(0, 1, 2))[0]
-    resid = x * k2 + k1 + weight * k0
-    return abs(resid) / (norm * abs(k0))
+    else:
+        (f0, _), (f1, _), (f2, _) = _k_eval(nu_s, x, orders=(0, 1, 2))[0]
+    return abs(x * f2 + f1 + weight * f0) / (norm * abs(f0))

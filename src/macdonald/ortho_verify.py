@@ -331,7 +331,7 @@ def _asym_prefactor(nu: float, nup: float | np.ndarray) -> float | np.ndarray:
         sinh_nu = math.sinh(math.pi * nu)
     except OverflowError:  # orders beyond about 226; refused below like an overflowing product
         sinh_nu = math.inf
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         den = 2.0 * np.sqrt(nu * nup * sinh_nu * np.sinh(math.pi * nup))
     # nu nu' sinh(pi nu) sinh(pi nu') underflows for tiny orders and overflows for huge ones
     if not ((den > 0.0) & (den < math.inf)).all():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -28,10 +29,13 @@ from macdonald import (
 )
 
 from macdonald.bessel_im import (
+    _CHUNK,
+    X_SERIES_MAX,
     X_SWITCH,
     _k_dk_series,
     _k_eval,
     _k_integral,
+    _k_integral_values,
     _k_series,
     _k_values,
     _phase_err,
@@ -298,6 +302,80 @@ class TestArrayCore:
     def test_abscissa_out_of_range_rejected(self, x):
         with pytest.raises(RangeError):
             _k_values([1.0], np.array([1.0, x]))
+
+
+def pass_per_level_trapezoid(nus, x):
+    """_k_integral_values as three passes from 64 intervals, each level evaluating its own nodes.
+
+    Returns the values and the most intervals any row took.
+    """
+    m, nu = len(nus), np.array(nus)
+    T = math.acosh(max(46.0 / float(x.min()), 1.5))
+
+    def sums_of(x, t, weight):
+        c = np.cos(np.multiply.outer(t, nu)) * weight[:, None]
+        c = np.hstack([c, np.abs(c)])
+        out = np.zeros((x.size, 2 * m))
+        step = max(1, _CHUNK // x.size)
+        for i in range(0, t.size, step):
+            e = np.multiply.outer(x, -np.cosh(t[i : i + step]))
+            np.exp(e, out=e)
+            out += e @ c[i : i + step]
+        return out
+
+    n = 64
+    t = np.linspace(0.0, T, n + 1)
+    weight = np.ones(n + 1)
+    weight[[0, -1]] = 0.5
+    sums = sums_of(x, t, weight)
+    value = (T / n) * sums[:, :m]
+    scale = np.exp(-x)[:, None]
+    rows = np.arange(x.size)
+    for doubling in range(12):
+        n *= 2
+        h = T / n
+        t = h * np.arange(1, n, 2)
+        sums[rows] += sums_of(x[rows], t, np.ones(t.size))
+        cur = h * sums[rows, :m]
+        change = np.abs(cur - value[rows])
+        floor = 8.0 * math.ulp(1.0) * math.sqrt(n) * h * sums[rows, m:]
+        bound = 1e-13 * np.abs(cur) + 1e-18 * scale[rows] + floor
+        value[rows] = cur
+        if doubling:
+            rows = rows[~np.all(change <= bound, axis=1)]
+            if not rows.size:
+                break
+    return value, n
+
+
+class TestArrayTrapezoid:
+    """The first two doublings from one evaluation of 257 nodes keep every bit of a pass per level."""
+
+    def test_bitwise_equal_to_a_pass_per_level(self):
+        rng = np.random.default_rng(257)
+        deepest = []
+        for _ in range(150):
+            nus = rng.uniform(0.0, 50.0, int(rng.integers(1, 4)))
+            nus[0] = 0.0 if rng.random() < 0.2 else nus[0]
+            x = np.exp(rng.uniform(math.log(2.0), math.log(700.0), int(rng.integers(1, 60))))
+            ref, n = pass_per_level_trapezoid(list(nus), x)
+            assert np.array_equal(_k_integral_values(list(nus), x), ref), (nus, x)
+            deepest.append(n)
+        assert min(deepest) == 256 and max(deepest) > 256  # rows that stop there, and beyond
+
+    def test_bitwise_where_the_first_block_is_chunked(self):
+        # 257 nodes at 3 (_CHUNK // 257) abscissae would make one 25 MB matrix; each
+        # temporary stays within _CHUNK elements (8.4 MB), and at most two are alive at once
+        x = np.random.default_rng(4080).uniform(2.0, 40.0, 3 * (_CHUNK // 257))
+        ref, _n = pass_per_level_trapezoid([1.0, 7.3], x)
+        tracemalloc.start()
+        try:
+            values = _k_integral_values([1.0, 7.3], x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, ref)
+        assert peak <= 2 * 8 * _CHUNK
 
 
 class TestArraySeries:
@@ -610,3 +688,44 @@ class TestOdeResidual:
         for nu in (0.1, 1.0, 10.0):
             for x in (1e-4, 0.1, 2.0, 20.0):
                 assert ode_residual(nu, x) <= 1e-6, (nu, x)
+
+    @pytest.mark.parametrize(
+        "nu, x, family",
+        [
+            (1.0, 1e-200, "K"),  # x * x underflowed: ZeroDivisionError
+            (1.0, 1e-300, "K"),
+            (1.0, 1e-200, "I"),
+            (0.0, 1e-160, "K"),  # (cosh t)^2 overflowed: a warning, then OverflowError
+            (0.0, 1e-200, "K"),
+            (1.0, 745.0, "K"),  # K underflowed to 0: ZeroDivisionError
+            (3.0, 750.0, "K"),
+            (1.0, 1e-160, "I"),  # nan
+            (1.0, 700.0, "I"),
+            (1.0, 30.5, "I"),  # beyond besseli_imag's range too
+            (1.0, 1.7e308, "K"),
+        ],
+    )
+    def test_refused_where_terms_leave_the_floats(self, nu, x, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                ode_residual(nu, x, family)
+
+    def test_finite_or_refused_on_every_float(self):
+        rng = np.random.default_rng(150)
+        xs = np.concatenate([10.0 ** rng.uniform(-323.0, 308.0, 120), [1e-150, 700.0, X_SERIES_MAX]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in ("K", "I"):
+                for nu in (0.0, 1e-5, 1.0, 50.0):
+                    for x in xs:
+                        try:
+                            assert math.isfinite(ode_residual(nu, float(x), family)), (nu, x)
+                        except RangeError:
+                            assert not 1e-150 <= x <= (X_SERIES_MAX if family == "I" else 700.0)
+
+    @pytest.mark.parametrize("family, top", [("K", 700.0), ("I", X_SERIES_MAX)])
+    def test_edges_of_the_range(self, family, top):
+        for nu in (0.1, 1.0, 50.0):
+            for x in (1e-150, top):
+                assert ode_residual(nu, x, family) <= 1e-6, (nu, x)

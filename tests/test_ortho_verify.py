@@ -406,6 +406,15 @@ class TestKernelAsymptotic:
         with pytest.raises(DomainError):
             asymptotic_envelope(1e-300, 1.0, 1e-3)
 
+    def test_zero_times_inf_prefactor_refused_without_a_warning(self):
+        # nu nu' sinh(pi nu) underflows to 0 while sinh(pi nu') overflows
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                asymptotic_envelope(1.3e-247, 700.0, 3.2e-81)
+
 
 class TestPhaseFunction:
     def test_zero_at_origin_exact(self):
