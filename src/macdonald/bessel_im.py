@@ -53,6 +53,10 @@ _EPS = 2.2204460492503131e-16
 _SERIES_TINY = 1.0e-18
 _SERIES_CAP = 500
 _CHUNK = 1 << 20  # elements per temporary in _k_values
+_X_ZERO = 746.0  # e^{-x cosh t} <= e^{-x} is 0 from here on, and x cosh t may overflow
+# _k_integral_values' first nodes j T/256, with their levels' bits (k T/64 from linspace, then odd
+# multiples of T/128 and of T/256): the nodes of 64 intervals, then the new ones of 128 and 256
+_NODES_257 = np.concatenate([np.arange(0, 257, 4), np.arange(2, 256, 4), np.arange(1, 256, 2)])
 
 
 @dataclass(frozen=True)
@@ -217,6 +221,7 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
     (2.1 MB at the 12th doubling, 262 145 nodes) and one block's temporaries.
     """
     nu = abs(nu)
+    x = min(x, _X_ZERO)  # the same zeros beyond, without overflow in x cosh t
     T = _integral_span(x)
 
     def f(t: np.ndarray) -> np.ndarray:
@@ -322,19 +327,20 @@ def _series_run(nu: float, h2_max: float):
         powxk *= h2_max
 
 
-def _k_series_values(nu: float, x: np.ndarray) -> np.ndarray:
-    """K_{i nu} at every x <= _x_switch(nu): -|Gamma(i nu)| Im[e^{i psi} S], Horner in (x/2)^2."""
+def _k_series_values(nu: float, x: np.ndarray, series: tuple) -> np.ndarray:
+    """K_{i nu} at x <= _x_switch(nu), Horner in (x/2)^2, on the set-up _k_sweeps made per call."""
+    coeffs, arg, g = series
     half = 0.5 * x
     if not half.min() > 0.0:
         _log_half(float(x.min()))  # x = 5e-324 refuses as on the scalar path
-    h2 = half * half
-    coeffs = np.array(list(_series_run(nu, float(h2.max()))))
+    h2 = (half * half).astype(complex)  # the product numpy's promotion forms at every term
     poly = np.full(x.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
-        poly = poly * h2 + c
-    phase = nu * np.log(half) - _arg_gamma_one_plus_imag(nu)
+        poly *= h2
+        poly += c
+    phase = nu * np.log(half) - arg
     im = np.sin(phase) * poly.real + np.cos(phase) * poly.imag
-    return -abs_gamma_imag(nu) * im
+    return -g * im
 
 
 def _k_split(nus: Sequence[float], x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -395,20 +401,19 @@ def _k_integral_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     not hold at nu >~ 5.  A row (one x) stops doubling once every order
     meets the rule and the floor, never before 256 intervals.  So the first
     two doublings come from one evaluation of their 257 nodes (a pass per
-    level beyond _CHUNK elements), each level's sum taken as before.
+    level beyond _CHUNK elements), each level's sum taken as before.  The grid
+    follows each call's least x, so unlike the series it has no set-up shared by sweeps.
     """
     m = len(nus)
     nu = np.array(nus)
+    x = np.minimum(x, _X_ZERO)  # every e^{-x cosh t} stays 0 there, and x cosh t finite
     T = _integral_span(float(x.min()))
 
     def cos_columns(t: np.ndarray) -> np.ndarray:
         c = np.cos(np.multiply.outer(t, nu))
-        return np.hstack([c, np.abs(c)])
+        return np.concatenate([c, np.abs(c)], axis=1)
 
-    # j T/256 has the bits of its level's node (k T/64 from linspace, odd multiples of T/128 and
-    # T/256 after it), in columns: the nodes of 64 intervals, then the new ones of 128 and of 256
-    j = np.concatenate([np.arange(0, 257, 4), np.arange(2, 256, 4), np.arange(1, 256, 2)])
-    t = (T / 256) * j
+    t = (T / 256) * _NODES_257
     cos_nt = cos_columns(t)
     cos_nt[0:65:64] *= 0.5  # [f | |f|] with the endpoints of 64 intervals halved
     levels = (slice(0, 65), slice(65, 129), slice(129, None))
@@ -422,7 +427,7 @@ def _k_integral_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     value = (T / 128) * sums[:, :m]  # as in _k_integral, the first change never stops the rule
     sums += new_256
     scale = np.exp(-x)[:, None]
-    rows = np.arange(x.size)
+    rows = slice(None)  # views, no gathers or scatters, while every row is live
     n = 256
     while True:
         h = T / n
@@ -431,43 +436,55 @@ def _k_integral_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
         floor = 8.0 * _EPS * math.sqrt(n) * h * sums[rows, m:]
         bound = 1e-13 * np.abs(cur) + 1e-18 * scale[rows] + floor
         value[rows] = cur
-        rows = rows[~np.all(change <= bound, axis=1)]
-        if not rows.size or n == 64 << 12:  # at most 12 doublings
+        live = ~np.all(change <= bound, axis=1)
+        if not live.any() or n == 64 << 12:  # at most 12 doublings
             return value
+        rows = rows if live.all() else np.arange(x.size)[rows][live]
         n *= 2
         t = (T / n) * np.arange(1, n, 2)
         sums[rows] += _trapezoid_sums(x[rows], t, cos_columns(t))
 
 
+def _k_sweeps(nus: Sequence[float], x_top: Callable[[float], float]) -> Callable:
+    """x -> _k_values(nus, x), each order set up once, its c_k counted at x_top(its switch) > 0."""
+    orders = [abs(_check_order(float(nu))) for nu in nus]
+    switch = [_x_switch(nu) if nu >= _TINY else 0.0 for nu in orders]  # x <= 0 never holds
+    series = {}  # of an order with series abscissae: (c_k, arg Gamma(1 + i nu), |Gamma(i nu)|)
+    for j, (nu, top) in enumerate(zip(orders, map(x_top, switch))):
+        if top:  # else no series abscissa, as always for |nu| < _TINY
+            c = np.array(list(_series_run(nu, (0.5 * top) * (0.5 * top))))
+            series[j] = c, _arg_gamma_one_plus_imag(nu), abs_gamma_imag(nu)
+
+    def sweep(x: np.ndarray) -> np.ndarray:
+        x = _check_abscissae(x)
+        out = np.empty((x.size, len(orders)))
+        integral = x > min(switch)
+        if integral.any():
+            top = x[integral].max()
+            cols = [j for j, s in enumerate(switch) if s < top]  # the orders with an integral row
+            every = integral.all()  # then no mask and no scatter
+            k = _k_integral_values([orders[j] for j in cols], x if every else x[integral])
+            out[(slice(None) if every else np.flatnonzero(integral)[:, None]), cols] = k
+        for j, nu in enumerate(orders):
+            rows = x <= switch[j]
+            if rows.any():
+                rows = slice(None) if rows.all() else rows
+                out[rows, j] = _k_series_values(nu, x[rows], series[j])
+        return out
+
+    return sweep
+
+
 def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     """K_{i nu}(x) for every nu in nus at every x, values only: shape (len(x), len(nus)).
 
-    The array form of _k_eval's automatic path, with the same checks and
-    the same switch: series for x <= _x_switch(nu) and |nu| >= _TINY, the
-    integral representation elsewhere.  One trapezoid grid serves every
-    x beyond the lowest switch, for each order with an x beyond its own;
-    the series then overwrites the values below each order's switch.  The
-    arithmetic differs from the scalar path (Horner instead of a running
-    sum, a dot product instead of math.fsum), so values agree with it
-    within its error estimate, not bitwise.
+    The array form of _k_eval's automatic path, with the same checks and the same switch:
+    series for x <= _x_switch(nu) and |nu| >= _TINY, the integral representation elsewhere.
+    Each order is set up once per call (_k_sweeps), its c_k counted at its largest series x.
+    Horner sums and dot products round apart from the scalar path: within its estimate.
     """
-    orders = [abs(_check_order(float(nu))) for nu in nus]
-    x = _check_abscissae(x)
-    out = np.empty((x.size, len(orders)))
-    switch = [_x_switch(nu) if nu >= _TINY else 0.0 for nu in orders]  # x <= 0 never holds
-    integral = x > min(switch)
-    if integral.any():
-        top = x[integral].max()
-        cols = [j for j, s in enumerate(switch) if s < top]  # the orders with an integral row
-        every = integral.all()  # then no mask and no scatter
-        k = _k_integral_values([orders[j] for j in cols], x if every else x[integral])
-        out[(slice(None), cols) if every else np.ix_(integral, cols)] = k
-    for j, nu in enumerate(orders):
-        series = x <= switch[j]
-        if series.any():
-            rows = slice(None) if series.all() else series
-            out[rows, j] = _k_series_values(nu, x[rows])
-    return out
+    x = np.asarray(x, dtype=float)  # checked in the sweep, after the orders as on the scalar path
+    return _k_sweeps(nus, lambda s: float(x[x <= s].max(initial=0.0)))(x)
 
 
 def _k_dk_series(nu: np.ndarray, x: np.ndarray, dnu: bool = False) -> tuple[np.ndarray, ...]:

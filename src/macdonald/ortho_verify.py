@@ -21,7 +21,7 @@ from .bessel_im import (
     _k_and_dk,
     _k_dk_series,
     _k_split,
-    _k_values,
+    _k_sweeps,
     _log_half,
     _octave_envelope,
 )
@@ -301,7 +301,7 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
     The first partition has one panel per half-period pi / (nu + nu'),
     however many that is; bisection adds at most 400 panels.  Each pass
     evaluates both orders at all of its nodes in one array call
-    (bessel_im._k_values).
+    (bessel_im._k_sweeps), on one set-up of each order for every pass.
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
     for order in (nu, nup):  # refused before the first partition scales with them
@@ -310,8 +310,10 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
     if upper <= xi:
         raise DomainError("upper cutoff must exceed xi")
 
+    k_at = _k_sweeps((nu, nup), lambda switch: min(switch, upper))  # one set-up for every sweep
+
     def product(u: np.ndarray) -> np.ndarray:
-        k = _k_values((nu, nup), np.exp(u))
+        k = k_at(np.exp(u))
         return k[:, 0] * k[:, 1]
 
     edges = _panel_edges([math.log(xi), math.log(upper)], nu + nup)

@@ -37,12 +37,17 @@ from macdonald.bessel_im import (
     _k_integral,
     _k_integral_values,
     _k_series,
+    _k_sweeps,
     _k_values,
     _phase_err,
     _x_switch,
 )
 
+from macdonald import bessel_im
+from macdonald.gamma_core import _TINY
+
 import oracles
+import sweep_reference
 
 
 class TestBesselI:
@@ -363,6 +368,19 @@ class TestArrayTrapezoid:
             deepest.append(n)
         assert min(deepest) == 256 and max(deepest) > 256  # rows that stop there, and beyond
 
+    def test_bitwise_where_rows_leave_at_different_doublings(self):
+        # low orders at 25 < x < 150 stop over several levels, so the live rows shrink more than once
+        rng = np.random.default_rng(8)
+        levels = set()
+        for _ in range(100):
+            nus = list(rng.uniform(0.0, 2.0, int(rng.integers(1, 3))))
+            lo, hi = sorted(rng.uniform(math.log(2.0), math.log(800.0), 2))
+            x = np.exp(rng.uniform(lo, hi, int(rng.integers(1, 60))))
+            ref, n = pass_per_level_trapezoid(nus, x)
+            assert np.array_equal(_k_integral_values(nus, x), ref), (nus, x)
+            levels.add(n)
+        assert max(levels) >= 4096
+
     def test_bitwise_where_the_first_block_is_chunked(self):
         # 257 nodes at 3 (_CHUNK // 257) abscissae would make one 25 MB matrix; each
         # temporary stays within _CHUNK elements (8.4 MB), and at most two are alive at once
@@ -483,6 +501,91 @@ class TestArraySeries:
             with pytest.raises(RangeError) as array:
                 evaluate()
             assert str(array.value) == str(scalar.value)
+
+
+# orders on both sides of the switch, a pair whose switches differ (2 and 15), nu = 0 and a
+# subnormal order; abscissae on both paths, on the series path alone and on the integral path alone
+SET_UP_ORDERS = [[0.3, 15.0], [1.0], [0.0, 2.5], [1e-310, 40.0], [50.0, 0.2, 7.0], [1e-3, 0.0]]
+SET_UP_SPANS = [(1e-5, 60.0), (1e-5, 2.0), (31.0, 300.0)]
+
+
+def set_up_grid(seed, n):
+    """n seeded (orders, abscissae) over SET_UP_ORDERS x SET_UP_SPANS."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        lo, hi = SET_UP_SPANS[i % len(SET_UP_SPANS)]
+        x = np.exp(rng.uniform(math.log(lo), math.log(hi), int(rng.integers(1, 120))))
+        yield SET_UP_ORDERS[(i // len(SET_UP_SPANS)) % len(SET_UP_ORDERS)], x
+
+
+class TestPerCallSetUp:
+    """Each order's series set-up once per call keeps every bit of the set-up once per sweep."""
+
+    def test_k_values_bitwise_equal_to_the_per_sweep_evaluation(self):
+        paths = set()
+        for nus, x in set_up_grid(22, 180):
+            values = _k_values(nus, x)
+            assert values.tobytes() == sweep_reference.per_sweep_k_values(nus, x).tobytes(), (nus, x)
+            for nu in nus:
+                switch = _x_switch(nu) if nu >= _TINY else 0.0
+                paths.add((bool((x <= switch).any()), bool((x > switch).any())))
+        assert paths == {(True, True), (True, False), (False, True)}  # mixed, series, integral
+
+    def test_one_set_up_serves_narrower_sweeps(self):
+        # kernel_quadrature makes the set-up at min(switch, U), beyond the x of most sweeps, so
+        # its c_k can outnumber those the sweep's own largest x would count.  The extra terms
+        # lie below 1e-18 of the sum, so such a value is allowed 2 ulp; on this grid none moves.
+        counts_differ = 0
+        for nus, x in set_up_grid(23, 180):
+            values = _k_sweeps(nus, lambda switch: switch)(x)  # set up at the widest
+            ref = sweep_reference.per_sweep_k_values(nus, x)
+            for j, nu in enumerate(nus):
+                switch = _x_switch(nu) if nu >= _TINY else 0.0
+                rows = x <= switch
+                counts = [sweep_reference.series_count(nu, a) for a in (switch, x[rows].max(initial=0.0))]
+                if rows.any() and counts[0] != counts[1]:
+                    counts_differ += 1
+                    assert np.all(np.abs(values[:, j] - ref[:, j]) <= 2.0 * np.spacing(np.abs(ref[:, j])))
+                else:
+                    assert values[:, j].tobytes() == ref[:, j].tobytes(), (nus, x)
+        assert counts_differ >= 50
+
+    def test_orders_below_tiny_get_no_series_set_up(self, monkeypatch):
+        calls = []
+        run = bessel_im._series_run
+        monkeypatch.setattr(bessel_im, "_series_run", lambda nu, h2: calls.append(nu) or run(nu, h2))
+        nus, x = [0.0, 1e-310, 1.0], np.array([0.5, 3.0])
+        sweep = _k_sweeps(nus, lambda switch: switch)
+        assert calls == [1.0]
+        assert sweep(x).tobytes() == sweep_reference.per_sweep_k_values(nus, x).tobytes()
+        assert calls == [1.0]  # the sweep makes none
+
+
+class TestNoOverflowWarningAtHugeX:
+    """x cosh t beyond the floats: the values of a rule whose every node is 0, and no warning."""
+
+    def test_scalar_path(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nu in (1.0, 0.0):
+                k, dk = besselk_imag(nu, 1.7e308), besselk_dx(nu, 1.7e308)
+                assert (repr(k.value), repr(dk.value)) == ("0.0", "-0.0")
+                assert k.abs_err_estimate == dk.abs_err_estimate == 0.0
+
+    def test_values_of_the_rule_without_its_overflow(self):
+        # beyond x ~ 745.2, e^{-x cosh t} <= e^{-x} is 0 at every node, whatever x cosh t is
+        for x in (746.0, 1e4, 1e300, 1.7e308):
+            for d in (0, 1, 2):
+                value, err = _k_integral(1.3, x, d)
+                assert (repr(value), err) == ("-0.0" if d == 1 else "0.0", 0.0), (x, d)
+        x = np.array([3.0, 800.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _k_values([1.0, 0.0], x)
+        with np.errstate(over="ignore"):
+            ref, _n = pass_per_level_trapezoid([1.0, 0.0], x)
+        assert values.tobytes() == ref.tobytes()
+        assert values[1:].tolist() == [[0.0, 0.0]] * 2
 
 
 class TestSubnormalAbscissa:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from macdonald import (
 from macdonald import bessel_im, ortho_verify
 
 import oracles
+import sweep_reference
 
 
 def wronskian(nu, nup, xi):
@@ -240,6 +242,70 @@ class TestSingleSweep:
         monkeypatch.setattr(ortho_verify, "_panel_edges", None)
         with pytest.raises(DomainError):
             kernel_quadrature(PairSpec(1e300, 1.0, 0.1))
+
+
+def same_outcome(f, g):
+    """repr of what f() and g() return or raise, for a bitwise comparison of the two."""
+    out = []
+    for h in (f, g):
+        try:
+            kv = h()
+            out.append(("value", repr(kv.value), repr(kv.abs_err_estimate)))
+        except Exception as exc:  # a refusal must match in type and message
+            out.append(("error", type(exc).__name__, str(exc)))
+    return out[0] == out[1], out
+
+
+class TestQuadratureSetUpOncePerCall:
+    def test_bitwise_equal_to_a_set_up_per_sweep(self):
+        rng = np.random.default_rng(2441)
+        pairs = [(0.2, 0.1, 1e-3), (0.3, 15.0, 0.5), (1e-3, 1.0, 0.1), (1e-310, 0.5, 1e-4),
+                 (1.0, 2.0, 1e-300), (10.0, 20.0, 1e-300), (40.0, 45.0, 3.0), (60.0, 1.0, 0.1)]
+        for _ in range(60):  # the kernel_pairs distribution
+            nu = math.exp(rng.uniform(math.log(0.2), math.log(10.0)))
+            xi = math.exp(rng.uniform(math.log(1e-6), math.log(2.0)))
+            pairs.append((nu, nu * 2.0 ** rng.uniform(-1.0, 1.0), xi))
+        # the default, a cutoff below some switches, and one that refuses most pairs
+        specs = [QuadratureSpec(), QuadratureSpec(upper=1.5), QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16)]
+        for i, (nu, nup, xi) in enumerate(pairs):
+            pair, spec = PairSpec(nu, nup, xi), specs[i % len(specs)]
+            same, out = same_outcome(
+                lambda: kernel_quadrature(pair, spec),
+                lambda: sweep_reference.per_sweep_quadrature(pair, spec),
+            )
+            assert same, (pair, spec, out)
+
+    def test_one_set_up_per_order(self, monkeypatch):
+        calls = {"sweeps": 0, "_series_run": [], "_arg_gamma_one_plus_imag": []}
+        for name in ("_series_run", "_arg_gamma_one_plus_imag"):
+            f = getattr(bessel_im, name)
+            monkeypatch.setattr(
+                bessel_im, name, lambda nu, *a, f=f, name=name: calls[name].append(nu) or f(nu, *a)
+            )
+        gauss_kronrod = ortho_verify._gauss_kronrod
+
+        def counted(f, *a):
+            def g(u):
+                calls["sweeps"] += 1
+                return f(u)
+
+            return gauss_kronrod(g, *a)
+
+        monkeypatch.setattr(ortho_verify, "_gauss_kronrod", counted)
+        kernel_quadrature(PairSpec(0.2, 0.1, 1e-3))
+        assert calls["sweeps"] == 4
+        assert calls["_series_run"] == calls["_arg_gamma_one_plus_imag"] == [0.2, 0.1]
+
+    def test_no_overflow_warning_at_a_huge_cutoff(self):
+        # nodes up to x ~ 1e308, where x cosh t leaves the floats; all of them beyond
+        # x ~ 745.2 add exactly 0, as they did
+        pair, spec = PairSpec(1.0, 2.0, 0.1), QuadratureSpec(upper=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kv = kernel_quadrature(pair, spec)
+        with np.errstate(over="ignore"):
+            ref = sweep_reference.per_sweep_quadrature(pair, spec)
+        assert (repr(kv.value), repr(kv.abs_err_estimate)) == (repr(ref.value), repr(ref.abs_err_estimate))
 
 
 def quad_reference(pair, quad=QuadratureSpec()):
