@@ -343,42 +343,6 @@ def _k_series_values(nu: float, x: np.ndarray, series: tuple) -> np.ndarray:
     return -g * im
 
 
-def _k_split(nus: Sequence[float], x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """K_{i nu}(x) and x K'_{i nu}(x), each split into its leading series term and the rest.
-
-    For a few orders 0 < nu <= NU_MAX (checked by the caller) at every
-    0 < x <= _x_switch(nu), one row per order of each of four arrays:
-    K0 = -|Gamma(i nu)| sin psi, x K0' = -nu |Gamma(i nu)| cos psi (the k = 0 term),
-    dK = -|Gamma(i nu)| Im[e^{i psi} T] and x dK' = -|Gamma(i nu)| Im[e^{i psi} (U + i nu T)],
-    with T = sum_{k>=1} c_k h^k, U = sum_{k>=1} 2k c_k h^k, h = (x/2)^2, psi and c_k as in
-    _k_series_values.  K = K0 + dK and x K' = x K0' + x dK'.  The remainders, O(x^2),
-    are summed as such, one product of the powers of h with the coefficients of every
-    order, so they keep their relative precision however small x is; nothing divides by x.
-    """
-    g = np.array([[-abs_gamma_imag(v)] for v in nus])  # refuses subnormal orders first
-    half = 0.5 * x
-    if not half.min() > 0.0:
-        _log_half(float(x.min()))  # x = 5e-324 refuses as on the scalar path
-    h = half * half
-    runs = [list(_series_run(nu, float(h.max())))[1:] for nu in nus]
-    k = np.arange(1.0, max(map(len, runs)) + 1.0)
-    c = np.zeros((len(nus), k.size), dtype=complex)  # c_k of order j in row j; 0 past its count
-    for j, run in enumerate(runs):
-        c[j, : len(run)] = run
-    c = np.concatenate([c, c * (2.0 * k)])
-    sums = np.concatenate([c.real, c.imag]) @ h ** k[:, None]
-    t_re, u_re, t_im, u_im = sums.reshape(4, len(nus), -1)
-    nu = np.array(nus, dtype=float)[:, None]
-    psi = nu * np.log(half) - np.array([[_arg_gamma_one_plus_imag(v)] for v in nus])
-    cos, sin = np.cos(psi), np.sin(psi)
-    return (
-        g * sin,
-        g * nu * cos,
-        g * (sin * t_re + cos * t_im),
-        g * (sin * u_re + cos * u_im + nu * (cos * t_re - sin * t_im)),
-    )
-
-
 def _trapezoid_sums(x: np.ndarray, t: np.ndarray, cos_nt: np.ndarray) -> np.ndarray:
     """sum_t e^{-x cosh t} cos_nt[t] for every x, chunked in t to at most _CHUNK elements."""
     out = np.zeros((x.size, cos_nt.shape[1]))
@@ -487,7 +451,9 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
     return _k_sweeps(nus, lambda s: float(x[x <= s].max(initial=0.0)))(x)
 
 
-def _k_dk_series(nu: np.ndarray, x: np.ndarray, dnu: bool = False) -> tuple[np.ndarray, ...]:
+def _k_dk_series(
+    nu: np.ndarray, x: np.ndarray, dnu: bool = False, split: bool = False
+) -> tuple[np.ndarray, ...]:
     """K_{i nu}(x) and K'_{i nu}(x) elementwise over broadcast arrays nu and x, on the series path.
 
     Orders _TINY <= nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
@@ -506,6 +472,10 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray, dnu: bool = False) -> tuple[np.n
     With dnu, dK/dnu and dK'/dnu follow from the same terms, K and K' keeping their
     bits: d c_k/dnu = c_k d_k, d_k = -i sum_{j<=k} 1/(j + i nu), psi' = ln(x/2) - Re
     digamma(1 + i nu), d ln|Gamma(i nu)|/dnu = -1/(2 nu) - (pi/2) coth(pi nu).
+    With split, K = K0 + dK and x K' = x K0' + x dK' in four parts instead: the k = 0 term,
+    K0 = -|Gamma(i nu)| sin psi and x K0' = -nu |Gamma(i nu)| cos psi, and the rest, from
+    T = S_0 - 1 and U + i nu T = x S_1 - i nu.  The rests, O(x^2), are summed as such and
+    nothing divides by x, so they keep their relative precision however small x is.
     """
     nu = np.asarray(nu, dtype=float)
     nu_min = float(nu.min())
@@ -528,13 +498,17 @@ def _k_dk_series(nu: np.ndarray, x: np.ndarray, dnu: bool = False) -> tuple[np.n
     # the conjugate series, of I_{-i nu}: Im of its products is -Im of the I_{i nu} ones
     mu = -1j * nu
     terms = np.cumprod((half * half)[..., None] / (k * (k + mu[..., None])), axis=-1)
-    s0 = 1.0 + terms.sum(axis=-1)
-    xs1 = (terms * (2.0 * k)).sum(axis=-1) + mu * s0  # x S_1, conjugated
+    rest, rest_x = terms.sum(axis=-1), (terms * (2.0 * k)).sum(axis=-1)  # conj T, conj U
+    s0 = 1.0 + rest
+    xs1 = rest_x + mu * s0  # x S_1, conjugated
     log_half = np.log(half)
     psi = nu * log_half - _arg_gamma_one_plus_imag(nu)
     cos, sin = np.cos(psi), np.sin(psi)
     # |Gamma(i nu)|; two roots, as nu sinh(pi nu) underflows below nu ~ 1e-154
     g = np.sqrt(math.pi / np.sinh(math.pi * nu)) / np.sqrt(nu)
+    if split:  # K0, x K0', then dK and x dK' as K is formed from S_0 below
+        rests = (rest, rest_x + mu * rest)  # conj T, conj (U + i nu T)
+        return (-g * sin, -g * nu * cos, *(g * (cos * r.imag - sin * r.real) for r in rests))
     with np.errstate(over="ignore", invalid="ignore"):  # a K' beyond the floats is refused below
         # Im[e^{-i psi} conj S] in real arithmetic: numpy rounds a product of two complex
         # scalars apart from the same product inside an array
@@ -644,14 +618,14 @@ def smallx_error_envelope(nu: float, x: float, n_samples: int = 16) -> float:
     """Phase-averaged envelope of |K_{i nu} - besselk_smallx_approx| near x.
 
     The small-x form is the leading series term of K, so the error is the
-    rest of the series (_k_split), an x^2-scaled oscillation in ln x at
-    frequency nu; _octave_envelope fits it over one octave around x.
+    rest of the series (dK of _k_dk_series' split), an x^2-scaled oscillation
+    in ln x at frequency nu; _octave_envelope fits it over one octave around x.
     """
     nu = abs(_check_order(nu, allow_zero=False))
     x = _check_abscissa(x)
     if x > 1.0:
         raise RangeError("small-x envelope meaningful only for x <= 1")
-    return _octave_envelope(x, n_samples, (nu,), lambda xs: _k_split((nu,), xs)[2][0])
+    return _octave_envelope(x, n_samples, (nu,), lambda xs: _k_dk_series(nu, xs, split=True)[2])
 
 
 def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:

@@ -22,6 +22,7 @@ from .bessel_im import besselk_imag
 from .errors import DomainError, MacdonaldError
 from .gamma_core import abs_gamma_imag, arg_gamma_imag, log_gamma
 from .ortho_verify import (
+    _DIAG_WINDOW,
     PairSpec,
     TestFunctionSpec,
     asymptotic_envelope,
@@ -178,7 +179,7 @@ def _cmd_ortho_scan(args) -> tuple[list[dict], bool]:
     n = args.n
     for i in range(n):
         nu2 = args.nu2_min + (args.nu2_max - args.nu2_min) * i / max(n - 1, 1)
-        if abs(nu2 - args.nu) < 1e-6:
+        if abs(nu2 - args.nu) < _DIAG_WINDOW:
             value = diagonal_limit(args.nu, args.xi)
             method = "diagonal-limit"
         else:

@@ -20,7 +20,6 @@ from .bessel_im import (
     _check_order,
     _k_and_dk,
     _k_dk_series,
-    _k_split,
     _k_sweeps,
     _log_half,
     _octave_envelope,
@@ -570,17 +569,17 @@ def asymptotic_envelope(
 
     def discrepancy(xs: np.ndarray) -> np.ndarray:
         # The refusals keep the order in which a sample-by-sample evaluation met
-        # them: the first sample, the sinc prefactor, the orders, xi <= 0.1 for
-        # the largest sample (they increase), then x/2 = 0 (in _k_split).
+        # them: the first sample, the sinc prefactor, the orders and x/2 = 0 (in
+        # the series), then xi <= 0.1 for the largest sample (they increase).
         _check_asymptotic(PairSpec(nu, nu_prime, float(xs[0])))
         _asym_prefactor(nu, nu_prime)
-        for order in (nu, nu_prime):
-            _check_order(order)
-        _check_asymptotic(PairSpec(nu, nu_prime, float(xs[-1])))
         # The sinc form is the boundary term of the leading series terms K0, x K0' alone,
         # so sinc - boundary is the part of the Wronskian with a remainder dK or x dK'
         # in it: O(xi^2), summed with no O(1) part to cancel.
-        (k01, k02), (xk01, xk02), (dk1, dk2), (xdk1, xdk2) = _k_split((nu, nu_prime), xs)
+        (k01, k02), (xk01, xk02), (dk1, dk2), (xdk1, xdk2) = _k_dk_series(
+            np.array([[nu], [nu_prime]]), xs, split=True
+        )
+        _check_asymptotic(PairSpec(nu, nu_prime, float(xs[-1])))
         cross = k01 * xdk2 + dk1 * (xk02 + xdk2) - k02 * xdk1 - dk2 * (xk01 + xdk1)
         return cross / (nu * nu - nu_prime * nu_prime)
 

@@ -502,6 +502,23 @@ class TestArraySeries:
                 evaluate()
             assert str(array.value) == str(scalar.value)
 
+    def test_split_parts_add_up_to_the_whole(self):
+        # K0 + dK = K and x K0' + x dK' = x K' of the same call without split, to a few
+        # roundings of |Gamma(i nu)| (measured: 1.1 eps and 1.5 eps).  Half the abscissae
+        # lie above 1e-3, where the rests are large enough that a relative error of 1e-9
+        # in them, or a dropped k = 1 term, shows against the bound
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(2400)
+        for i in range(400):
+            nu = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+            lo = 1e-300 if i % 2 else 1e-3
+            x = math.exp(rng.uniform(math.log(lo), math.log(_x_switch(nu))))
+            k, dk = _k_dk_series(nu, x)
+            k0, xk0, rest, x_rest = _k_dk_series(nu, x, split=True)
+            g = abs_gamma_imag(nu)
+            assert abs(k0 + rest - k) <= 4.0 * eps * g, (nu, x)
+            assert abs(xk0 + x_rest - x * dk) <= 4.0 * eps * g * (1.0 + nu), (nu, x)
+
 
 # orders on both sides of the switch, a pair whose switches differ (2 and 15), nu = 0 and a
 # subnormal order; abscissae on both paths, on the series path alone and on the integral path alone
@@ -758,6 +775,11 @@ class TestSmallXApprox:
     def test_nu_zero_rejected(self):
         with pytest.raises(DomainError):
             besselk_smallx_approx(0.0, 0.5)
+
+    def test_envelope_refuses_a_subnormal_order_as_order_zero(self):
+        # the array series refuses it, with the message of nu = 0
+        with pytest.raises(DomainError, match="nu = 0 not supported"):
+            smallx_error_envelope(5e-324, 1e-3)
 
 
 class TestLargeXApprox:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from macdonald import FunctionValue, TestFunctionSpec, besselk_imag
+from macdonald import FunctionValue, TestFunctionSpec, besselk_imag, ortho_verify
 from macdonald.cli import build_parser, main
 
 SCHEMA = json.loads(
@@ -147,6 +147,23 @@ class TestOrthoScan:
         assert len(doc["rows"]) == 11
         methods = {r["method"] for r in doc["rows"]}
         assert methods == {"boundary-term", "diagonal-limit"}
+
+    def test_diagonal_window_is_the_sweeps(self, capsys):
+        # rows just inside and just outside the window the nu' sweep of delta-test uses
+        window = ortho_verify._DIAG_WINDOW
+        code, doc = run_cli_json(
+            [
+                "ortho-scan",
+                "--nu", "1",
+                "--xi", "1e-4",
+                "--nu2-min", repr(1.0 + 0.9 * window),
+                "--nu2-max", repr(1.0 + 1.1 * window),
+                "--n", "2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert [r["method"] for r in doc["rows"]] == ["diagonal-limit", "boundary-term"]
 
 
 class TestDeltaTest:

@@ -453,6 +453,29 @@ class TestKernelAsymptotic:
         with pytest.raises(error):
             asymptotic_envelope(nu, nup, xi)
 
+    def test_envelope_sums_one_array_series(self, monkeypatch):
+        # both orders at every sample from one _k_dk_series call: one count of its
+        # terms, and |Gamma(i nu)| and arg Gamma(1 + i nu) as arrays, none per order
+        calls = {"series": 0, "run": 0, "abs_gamma": 0, "scalar_phase": 0}
+
+        def counting(module, name, key, only=lambda *a, **kw: True):
+            f = getattr(module, name)
+
+            def counted(*a, **kw):
+                calls[key] += bool(only(*a, **kw))
+                return f(*a, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(ortho_verify, "_k_dk_series", "series")
+        counting(bessel_im, "_series_run", "run")
+        counting(bessel_im, "abs_gamma_imag", "abs_gamma")
+        scalar = lambda nu: not isinstance(nu, np.ndarray)
+        for module in (bessel_im, ortho_verify):
+            counting(module, "_arg_gamma_one_plus_imag", "scalar_phase", scalar)
+        asymptotic_envelope(1.0, 1.5, 1e-3)
+        assert calls == {"series": 1, "run": 1, "abs_gamma": 0, "scalar_phase": 0}
+
     def test_envelope_shrinks_fourfold(self):
         e1 = asymptotic_envelope(1.0, 1.5, 1e-3)
         e2 = asymptotic_envelope(1.0, 1.5, 5e-4)
