@@ -254,21 +254,6 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
     return (-prev if deriv == 1 else prev), last_change + tail + _EPS * abs(prev)
 
 
-def _k_from_i(nu: float, x: float, deriv: int) -> tuple[float, float]:
-    """K_{i nu}(x) or an x-derivative, and its error, from one pass over the I_{i nu} series.
-
-    Bitwise equal to _k_series at the same order.  For real x,
-    I_{-i nu}(x) = conj I_{i nu}(x), and the two normalised series come
-    out as exact conjugates in binary64, so (|Gamma(i nu)| / 2i)(S_- - S_+)
-    reduces to K = -|Gamma(i nu)| Im[e^{i psi} S] and its error to
-    |Gamma(i nu)| (err + eps |e^{i psi} S|), err with _i_series' phase terms.
-    """
-    i, err = _i_series(nu, x, deriv)
-    g = abs_gamma_imag(nu)
-    # 0 - g Im I, the real part of (g/2i)(conj I - I): Im I = 0 gives +0.0
-    return 0.0 - g * i.imag, g * (err + _EPS * abs(i))
-
-
 def _k_eval(
     nu: float, x: float, method: str = "auto", orders: tuple[int, ...] = (0, 1)
 ) -> tuple[list[tuple[float, float]], Method]:
@@ -276,11 +261,13 @@ def _k_eval(
 
     Returns [(value, error) for each derivative order in `orders`] and
     the method tag.  The series path is the I-combination for
-    x <= _x_switch(nu), one I_{i nu} series pass per order; the integral
-    representation serves larger x and always |nu| < _TINY (0 and the
-    subnormal orders), where the combination is a 0/0 form: there
-    cos(nu t) = 1, so the value is K_0's bitwise.  A value that overflows
-    (K' below x ~ 1e-308) raises RangeError.
+    x <= _x_switch(nu), one I_{i nu} series pass per order and one |Gamma(i nu)|
+    for all, with the bits of _k_series: the normalised series of I_{-+i nu}(x) are
+    exact conjugates in binary64, so (|Gamma(i nu)| / 2i)(S_- - S_+) is K = -|Gamma(i nu)|
+    Im[e^{i psi} S], its error |Gamma(i nu)| (err + eps |e^{i psi} S|).  The integral
+    representation serves larger x and always |nu| < _TINY (0 and the subnormal
+    orders), where the combination is a 0/0 form: there cos(nu t) = 1, so the
+    value is K_0's bitwise.  A value that overflows (K' below x ~ 1e-308) raises RangeError.
     """
     nu = abs(_check_order(nu))  # K_{i nu} = K_{-i nu} structurally
     x = _check_abscissa(x)
@@ -289,7 +276,10 @@ def _k_eval(
     if method == "series" and x > X_SERIES_MAX:
         raise RangeError(f"series path supports x <= {X_SERIES_MAX:g}")
     if method == "series" or (method == "auto" and nu >= _TINY and x <= _x_switch(nu)):
-        values = [_k_from_i(nu, x, d) for d in orders]
+        g = abs_gamma_imag(nu)
+        series = (_i_series(nu, x, d) for d in orders)
+        # 0 - g Im I, the real part of (g/2i)(conj I - I): Im I = 0 gives +0.0
+        values = [(0.0 - g * i.imag, g * (err + _EPS * abs(i))) for i, err in series]
         tag: Method = "series-combination"
     else:
         values, tag = [_k_integral(nu, x, d) for d in orders], "integral-representation"
@@ -531,12 +521,6 @@ def _k_dk_series(
     if not all(np.isfinite(a).all() for a in out):
         raise RangeError("K_(i nu)(x) or K' is not finite on the series path (x below ~1e-308)")
     return out
-
-
-def _k_and_dk(nu: float, x: float) -> tuple[float, float]:
-    """(K_{i nu}(x), K'_{i nu}(x)) on the automatic path, values only."""
-    ((k, _), (dk, _)), _method = _k_eval(nu, x)
-    return k, dk
 
 
 def besselk_imag(

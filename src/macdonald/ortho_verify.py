@@ -18,8 +18,8 @@ import numpy as np
 from .bessel_im import (
     _EPS,
     _check_order,
-    _k_and_dk,
     _k_dk_series,
+    _k_eval,
     _k_sweeps,
     _log_half,
     _octave_envelope,
@@ -163,13 +163,6 @@ class WeakLimitReport:
     reflected_term_bound: float
 
 
-def _check_off_diagonal(nu: float, nup: float) -> None:
-    if abs(nu - nup) < _DIAG_GUARD:
-        raise NearDiagonalError(
-            f"|nu - nu'| = {abs(nu - nup):.3g} < {_DIAG_GUARD:g}; use diagonal_limit"
-        )
-
-
 def _wronskian_term(nu, nup, xi, k1, d1, k2, d2):
     """-xi (K_{i nu} K'_{i nu'} - K_{i nu'} K'_{i nu}) / (nu^2 - nu'^2) from the values at xi.
 
@@ -183,14 +176,19 @@ def kernel_boundary(pair: PairSpec) -> KernelValue:
 
     value = -xi [K_{i nu}(xi) K'_{i nu'}(xi) - K_{i nu'}(xi) K'_{i nu}(xi)]
             / (nu^2 - nu'^2)
+    Its estimate carries the four K and K' estimates through the products,
+    with 4 eps of each product for the roundings of the products and the difference.
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
-    _check_off_diagonal(nu, nup)  # refuse before any K is evaluated
-    k1, d1 = _k_and_dk(nu, xi)
-    k2, d2 = _k_and_dk(nup, xi)
+    if abs(nu - nup) < _DIAG_GUARD:  # refuse before any K is evaluated
+        raise NearDiagonalError(
+            f"|nu - nu'| = {abs(nu - nup):.3g} < {_DIAG_GUARD:g}; use diagonal_limit"
+        )
+    ((k1, e1), (d1, f1)), _tag = _k_eval(nu, xi)
+    ((k2, e2), (d2, f2)), _tag = _k_eval(nup, xi)
     value = _wronskian_term(nu, nup, xi, k1, d1, k2, d2)
-    # four evaluations at ~1e-12 relative; the division can amplify
-    err = 1e-11 * (abs(xi * k1 * d2) + abs(xi * k2 * d1)) / abs(nu * nu - nup * nup)
+    products = abs(d2) * e1 + abs(k1) * f2 + abs(d1) * e2 + abs(k2) * f1
+    err = xi * (products + 4.0 * _EPS * (abs(k1 * d2) + abs(k2 * d1))) / abs(nu * nu - nup * nup)
     return KernelValue(value=value, method="boundary-term", abs_err_estimate=err)
 
 
@@ -303,13 +301,11 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
     (bessel_im._k_sweeps), on one set-up of each order for every pass.
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
-    for order in (nu, nup):  # refused before the first partition scales with them
-        _check_order(order)
     upper = quad.upper if quad.upper is not None else _tail_cutoff(quad.abs_tol)
+    # one set-up for every sweep; it refuses the orders first, before the partition scales with them
+    k_at = _k_sweeps((nu, nup), lambda switch: min(switch, upper))
     if upper <= xi:
         raise DomainError("upper cutoff must exceed xi")
-
-    k_at = _k_sweeps((nu, nup), lambda switch: min(switch, upper))  # one set-up for every sweep
 
     def product(u: np.ndarray) -> np.ndarray:
         k = k_at(np.exp(u))
@@ -349,15 +345,6 @@ def _check_asymptotic(pair: PairSpec) -> None:
         raise NearDiagonalError("diagonal handled by diagonal_limit")
 
 
-def _sinc_form(nu: float, nup: float, xi: float) -> float:
-    """The sinc form at cutoff xi; x/2 = 0 is refused as on the series path."""
-    g1, g2, pref = arg_gamma_imag(nu), arg_gamma_imag(nup), _asym_prefactor(nu, nup)
-    lg = _log_half(xi)
-    term_minus = math.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
-    term_plus = math.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
-    return float(pref * (term_minus + term_plus))
-
-
 def kernel_asymptotic(pair: PairSpec) -> KernelValue:
     """Finite-cutoff sinc-kernel form valid in the small-xi regime.
 
@@ -366,9 +353,13 @@ def kernel_asymptotic(pair: PairSpec) -> KernelValue:
     """
     _check_asymptotic(pair)
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
-    value = _sinc_form(nu, nup, xi)
+    g1, g2, pref = arg_gamma_imag(nu), arg_gamma_imag(nup), _asym_prefactor(nu, nup)
+    lg = _log_half(xi)  # x/2 = 0 is refused as on the series path
+    term_minus = math.sin(-(nu - nup) * lg + g1 - g2) / (nu - nup)
+    term_plus = math.sin(-(nu + nup) * lg + g1 + g2) / (nu + nup)
     # leading corrections inherited from the small-x expansion are O(xi^2)
-    err = float(_asym_prefactor(nu, nup)) * xi * xi * 10.0
+    err = float(pref) * xi * xi * 10.0
+    value = float(pref * (term_minus + term_plus))
     return KernelValue(value=value, method="asymptotic", abs_err_estimate=err)
 
 
@@ -458,26 +449,23 @@ def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> l
     kernel on each side of nu at the smallest cutoff, where the kernel
     oscillates fastest.  K and K' at nu come from one series call for all
     cutoffs, the call with the nu-derivatives of the diagonal limit when nu
-    is inside the support.  Returns one Python float per cutoff.
+    lies within _DIAG_WINDOW of the support: only then can a node lie within
+    the window, and every such node takes the diagonal limit.  Returns one
+    Python float per cutoff.
     """
     lo, hi = phi.support()
     lo = max(lo, 1.0e-2)
     if hi <= lo:
         raise DomainError("test function support does not intersect nu' > 0")
     xi = np.array(xis, dtype=float)[:, None]  # one row per cutoff, one column per node
-    if lo < nu < hi:
+    if lo - _DIAG_WINDOW < nu < hi + _DIAG_WINDOW:
         diag, k1, d1 = _diagonal(nu, xi)
-    else:
-        diag = None
+    else:  # no node can lie within the window, so the integrand never reads diag
         k1, d1 = _k_dk_series(nu, xi)
 
     def integrand(nup: np.ndarray) -> np.ndarray:
         k2, d2 = _k_dk_series(nup, xi)
-        gap = np.abs(nup - nu)
-        if diag is None:
-            _check_off_diagonal(nu, float(nup[np.argmin(gap)]))
-            return _wronskian_term(nu, nup, xi, k1, d1, k2, d2) * phi(nup)
-        far = gap >= _DIAG_WINDOW
+        far = np.abs(nup - nu) >= _DIAG_WINDOW
         if far.all():  # as nodes almost always are
             return _wronskian_term(nu, nup, xi, k1, d1, k2, d2) * phi(nup)
         out = np.full(k2.shape, diag)
@@ -485,7 +473,7 @@ def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> l
         return out * phi(nup)
 
     _check_order(hi)  # nodes beyond NU_MAX are refused; refuse before laying their panels
-    cuts = [lo, nu, hi] if diag is not None else [lo, hi]
+    cuts = [lo, nu, hi] if lo < nu < hi else [lo, hi]
     edges = _panel_edges(cuts, -math.log(0.5 * min(xis)))  # the kernel oscillates at ln(2/xi)
     values, _errs = _gauss_kronrod(integrand, edges, 1e-10, 1e-9)
     return values

@@ -63,6 +63,14 @@ def diagonal_ref(nu, xi, dps=40):
         return x * (k(nu) * mp.diff(dk, nu) - dk(nu) * mp.diff(k, nu)) / (2 * nu)
 
 
+def boundary_ref(nu, nup, xi, dps=60):
+    """The Wronskian boundary term -xi (K_1 K'_2 - K_2 K'_1) / (nu^2 - nu'^2), from k_dk_besselk_ref."""
+    with mp.workdps(dps):
+        (k1, d1), (k2, d2) = k_dk_besselk_ref(nu, xi, dps), k_dk_besselk_ref(nup, xi, dps)
+        a, b = mp.mpf(nu), mp.mpf(nup)
+        return -mp.mpf(xi) * (k1 * d2 - k2 * d1) / (a * a - b * b)
+
+
 def envelope_ref(nu, nup, xi, n_samples=48, dps=30):
     """asymptotic_envelope(nu, nup, xi) with every step after the sampling at `dps` digits.
 
@@ -169,6 +177,20 @@ ENVELOPE = {
 # an envelope-only case, from envelope_ref at 30 digits: kernels of size 1/nu ~ 100
 # make the per-sample difference of two O(1) kernels too coarse for it
 ENVELOPE_SMALL_ORDERS = {(0.01, 0.02, 1e-3): 8.834264502851563e-04}
+
+# kernel_boundary's estimate test pairs, from boundary_ref at 60 digits (80 digits agree
+# within 2e-59 relative): five on the integral path, four on the series path
+BOUNDARY = {
+    (10.0, 12.0, 20.0): 2.0390714628793139e-23,
+    (12.0, 13.0, 40.0): 1.8324581923084636e-40,
+    (15.0, 15.5, 18.0): 1.2385858898797856e-24,
+    (19.0, 10.0, 22.7): 1.0062099504632916e-27,
+    (30.0, 35.0, 33.0): 1.5644931026425879e-47,
+    (1.0, 2.0, 0.1): -0.0094276046573472485,
+    (0.7, 0.75, 1e-4): 3.9274285299919536,
+    (2.3, 1.1, 1.5): 0.0021330717445221881,
+    (5.0, 3.0, 3.0): 1.1473129097780285e-6,
+}
 
 # diagonal_limit's test grid, from diagonal_ref at 40 digits
 DIAGONAL = {

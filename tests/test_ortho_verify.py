@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -36,12 +37,16 @@ import sweep_reference
 
 
 def wronskian(nu, nup, xi):
-    """The boundary term and its error estimate from the public K and K'."""
-    k1, d1 = besselk_imag(nu, xi).value, besselk_dx(nu, xi).value
-    k2, d2 = besselk_imag(nup, xi).value, besselk_dx(nup, xi).value
+    """The boundary term and its error estimate from the public K and K' and their estimates."""
+    (k1, e1), (d1, f1), (k2, e2), (d2, f2) = (
+        (fv.value, fv.abs_err_estimate)
+        for order in (nu, nup)
+        for fv in (besselk_imag(order, xi), besselk_dx(order, xi))
+    )
     den = nu * nu - nup * nup
     value = -xi * (k1 * d2 - k2 * d1) / den
-    err = 1e-11 * (abs(xi * k1 * d2) + abs(xi * k2 * d1)) / abs(den)
+    products = abs(d2) * e1 + abs(k1) * f2 + abs(d1) * e2 + abs(k2) * f1
+    err = xi * (products + 4.0 * sys.float_info.epsilon * (abs(k1 * d2) + abs(k2 * d1))) / abs(den)
     return value, err
 
 
@@ -72,16 +77,30 @@ class TestKernelBoundary:
             kv = kernel_boundary(PairSpec(nu, nup, xi))
             assert (kv.value, kv.abs_err_estimate) == wronskian(nu, nup, xi)
 
+    def test_estimate_bounds_the_error(self):
+        # five integral-path pairs, where a fixed 1e-11 relative estimate fell short by
+        # 1.2x to 4.9e10x, and four on the series path
+        for (nu, nup, xi), ref in oracles.BOUNDARY.items():
+            kv = kernel_boundary(PairSpec(nu, nup, xi))
+            assert abs(kv.value - ref) <= kv.abs_err_estimate, (nu, nup, xi)
+
+    def test_boundary_reference_spot_check(self):
+        # recompute one frozen reference at 60 digits
+        assert float(oracles.boundary_ref(10.0, 12.0, 20.0)) == pytest.approx(
+            oracles.BOUNDARY[(10.0, 12.0, 20.0)], rel=1e-15
+        )
+
 
 class TestSeriesCount:
     @pytest.fixture
     def k_eval_calls(self, monkeypatch):
-        # the scalar core, also as reached through bessel_im._k_and_dk
+        # the scalar core, as kernel_boundary reaches it and as the public K functions do
         calls = []
         k_eval = bessel_im._k_eval
-        monkeypatch.setattr(
-            bessel_im, "_k_eval", lambda nu, x, *a: calls.append(nu) or k_eval(nu, x, *a)
-        )
+        for module in (bessel_im, ortho_verify):
+            monkeypatch.setattr(
+                module, "_k_eval", lambda nu, x, *a: calls.append(nu) or k_eval(nu, x, *a)
+            )
         return calls
 
     @pytest.fixture
@@ -167,6 +186,22 @@ class TestSeriesCount:
         assert k_eval_calls == []
         assert [c.tolist() for c in series_calls] == [nu]
 
+    def test_k_eval_takes_one_abs_gamma_for_every_derivative_order(self, monkeypatch):
+        calls = []
+        abs_gamma = bessel_im.abs_gamma_imag
+        monkeypatch.setattr(bessel_im, "abs_gamma_imag", lambda nu: calls.append(nu) or abs_gamma(nu))
+        values, tag = bessel_im._k_eval(1.3, 0.7, orders=(0, 1, 2))
+        assert tag == "series-combination" and len(values) == 3
+        assert calls == [1.3]
+
+    def test_quadrature_checks_each_order_once(self, monkeypatch):
+        calls = []
+        check = bessel_im._check_order
+        for module in (bessel_im, ortho_verify):
+            monkeypatch.setattr(module, "_check_order", lambda nu, *a: calls.append(nu) or check(nu, *a))
+        kernel_quadrature(PairSpec(1.0, 2.0, 0.1))
+        assert calls == [1.0, 2.0]
+
 
 class TestKernelQuadrature:
     def test_diagonal_nonnegative(self):
@@ -242,6 +277,10 @@ class TestSingleSweep:
         monkeypatch.setattr(ortho_verify, "_panel_edges", None)
         with pytest.raises(DomainError):
             kernel_quadrature(PairSpec(1e300, 1.0, 0.1))
+
+    def test_orders_refused_before_the_upper_cutoff(self):
+        with pytest.raises(DomainError, match="exceeds supported bound"):
+            kernel_quadrature(PairSpec(1.0, 60.0, 0.1), QuadratureSpec(upper=0.05))
 
 
 def same_outcome(f, g):
@@ -733,15 +772,15 @@ def smeared_reference(nu, xi, phi):
     lo = max(lo, 1.0e-2)
     if hi <= lo:
         raise DomainError("test function support does not intersect nu' > 0")
-    inside = lo < nu < hi
-    diag = diagonal_limit(nu, xi) if inside else None
+    window = ortho_verify._DIAG_WINDOW
+    diag = diagonal_limit(nu, xi) if lo - window < nu < hi + window else None
 
     def integrand(nup):
-        if diag is not None and abs(nup - nu) < ortho_verify._DIAG_WINDOW:
+        if abs(nup - nu) < window:
             return diag * phi(nup)
         return kernel_boundary(PairSpec(nu, nup, xi)).value * phi(nup)
 
-    points = [nu] if inside else None
+    points = [nu] if lo < nu < hi else None
     value, _err = integrate.quad(
         integrand, lo, hi, points=points, limit=400, epsabs=1e-10, epsrel=1e-9
     )
@@ -869,6 +908,25 @@ class TestWeakLimitRegression:
         phi = TestFunctionSpec("gaussian-bump", 1e6, 1e5)
         with pytest.raises(DomainError):
             ortho_verify._smeared_kernel(1.0, [1e-300], phi)
+
+    def test_nodes_in_the_window_take_the_diagonal_limit_off_the_support(self, monkeypatch):
+        # nu just above the support: the nodes within _DIAG_WINDOW of it take the limit,
+        # also where the Wronskian would divide by |nu^2 - nu'^2| ~ 1e-8
+        integrands = []
+        monkeypatch.setattr(
+            ortho_verify, "_gauss_kronrod", lambda f, *a: integrands.append(f) or ([0.0], [0.0])
+        )
+        phi, xi = TestFunctionSpec("gaussian-bump", 1.0, 0.05), 1e-2
+        nu = phi.support()[1] + 5e-7
+        ortho_verify._smeared_kernel(nu, [xi], phi)
+        nodes = np.array([nu - 2e-7, nu - 5e-9])
+        assert integrands[0](nodes)[0].tolist() == (diagonal_limit(nu, xi) * phi(nodes)).tolist()
+
+    def test_no_derivative_call_far_off_the_support(self):
+        # the nu-derivatives of K' overflow at xi = 1e-306; nu lies far outside the support
+        phi = TestFunctionSpec("gaussian-bump", 3.0, 0.2)
+        rep = weak_limit_test(1.0, [1e-306], phi)
+        assert all(math.isfinite(v) for v in rep.smeared_values)
 
     def test_subnormal_cutoff_refused(self):
         # K' overflows at xi = 1e-310; the scalar route returned nan here
