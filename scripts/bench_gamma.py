@@ -7,10 +7,13 @@ measurement alternates between the two, one fresh interpreter at a time,
 so a drift in host speed touches both alike; the JSON holds the median and
 the minimum over the rounds:
 
-- cold wall time of `python -c pass`, `python -c "import numpy"` and
-  `python -m macdonald.cli eval --nu 1 --x 1`;
+- cold wall time of `python -c pass`, `python -c "import numpy"`,
+  `python -c "import macdonald.cli"`, and of `python -m macdonald.cli` with
+  `gamma`, with a series-path `eval` (x = 1) and with an integral-path
+  `eval` (x = 6.5);
 - peak RSS of a process that has run `import macdonald.cli`, and the scipy
-  modules that import loaded;
+  and the numpy.* modules that import loaded (a numpy loaded on first use
+  shows none);
 - microseconds per call (best of 7 repeats in one process) of the scalar
   1/Gamma(1 + i nu) by `reciprocal_gamma`, of the Gamma(1 + i nu) term of
   one scalar series pass, of the array Gamma(1 + i nu) term that the array
@@ -35,7 +38,10 @@ import time
 COLD = {
     "python -c pass": ["-c", "pass"],
     "import numpy": ["-c", "import numpy"],
+    "import macdonald.cli": ["-c", "import macdonald.cli"],
+    "macdonald gamma --nu 0.3,2.5,17": ["-m", "macdonald.cli", "gamma", "--nu", "0.3,2.5,17"],
     "macdonald eval --nu 1 --x 1": ["-m", "macdonald.cli", "eval", "--nu", "1", "--x", "1"],
+    "macdonald eval --nu 1 --x 6.5": ["-m", "macdonald.cli", "eval", "--nu", "1", "--x", "6.5"],
 }
 
 IMPORT_PROBE = """
@@ -43,6 +49,7 @@ import json, resource, sys
 import macdonald.cli
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy."))))
 """
 
 CALLS_PROBE = """
@@ -102,7 +109,7 @@ def main() -> int:
     cold = {side: {name: [] for name in COLD} for side in roots}
     rss = {side: [] for side in roots}
     calls = {side: {name: [] for name in CALL_NAMES} for side in roots}
-    scipy_loaded = {}
+    scipy_loaded, numpy_loaded = {}, {}
     for _ in range(args.rounds):
         for side, root in roots.items():
             for name, argv in COLD.items():
@@ -110,6 +117,7 @@ def main() -> int:
             out = run(root, ["-c", IMPORT_PROBE])[1].splitlines()
             rss[side].append(float(out[0]))
             scipy_loaded[side] = json.loads(out[1])
+            numpy_loaded[side] = json.loads(out[2])
     for _ in range(max(3, args.rounds // 3)):
         for side, root in roots.items():
             for name, value in zip(CALL_NAMES, run(root, ["-c", CALLS_PROBE])[1].split()):
@@ -128,6 +136,7 @@ def main() -> int:
             "cold_s": {name: summary(v) for name, v in cold[side].items()},
             "rss_after_import_cli_mb": summary(rss[side]),
             "scipy_modules_after_import_cli": scipy_loaded[side],
+            "numpy_modules_after_import_cli": numpy_loaded[side],
             "us_per_call": {name: summary(v) for name, v in calls[side].items()},
         }
     json.dump(report, sys.stdout, indent=2)

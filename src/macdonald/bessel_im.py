@@ -11,11 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Callable, Literal, Sequence, Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, RangeError
 from .gamma_core import (
     _TINY,
@@ -54,9 +54,13 @@ _SERIES_TINY = 1.0e-18
 _SERIES_CAP = 500
 _CHUNK = 1 << 20  # elements per temporary in _k_values
 _X_ZERO = 746.0  # e^{-x cosh t} <= e^{-x} is 0 from here on, and x cosh t may overflow
-# _k_integral_values' first nodes j T/256, with their levels' bits (k T/64 from linspace, then odd
-# multiples of T/128 and of T/256): the nodes of 64 intervals, then the new ones of 128 and 256
-_NODES_257 = np.concatenate([np.arange(0, 257, 4), np.arange(2, 256, 4), np.arange(1, 256, 2)])
+
+
+@cache
+def _nodes_257():
+    """_k_integral_values' first nodes j T/256, with their levels' bits (k T/64 from linspace, then
+    odd multiples of T/128 and of T/256): the nodes of 64 intervals, then the new ones of 128, 256."""
+    return np.concatenate([np.arange(0, 257, 4), np.arange(2, 256, 4), np.arange(1, 256, 2)])
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ def _check_order(nu: float, allow_zero: bool = True) -> float:
 def _check_abscissa(x: float) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise RangeError(f"abscissa must be finite and > 0, got {x!r}")
-    return x
+    return float(x)  # as _check_order: a numpy scalar would carry its own precision along
 
 
 def _check_abscissae(x) -> np.ndarray:
@@ -96,9 +100,9 @@ def _check_abscissae(x) -> np.ndarray:
 
 def _x_switch(nu: float | np.ndarray) -> float | np.ndarray:
     """Largest x where the automatic path takes the series at order nu, elementwise for arrays."""
-    if isinstance(nu, np.ndarray):
-        return np.minimum(np.maximum(nu, X_SWITCH), X_SERIES_MAX)
-    return max(X_SWITCH, min(nu, X_SERIES_MAX))
+    if type(nu) is float or not isinstance(nu, np.ndarray):  # a float never touches numpy
+        return max(X_SWITCH, min(nu, X_SERIES_MAX))
+    return np.minimum(np.maximum(nu, X_SWITCH), X_SERIES_MAX)
 
 
 def _log_half(x: float) -> float:
@@ -367,7 +371,7 @@ def _k_integral_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
         c = np.cos(np.multiply.outer(t, nu))
         return np.concatenate([c, np.abs(c)], axis=1)
 
-    t = (T / 256) * _NODES_257
+    t = (T / 256) * _nodes_257()
     cos_nt = cos_columns(t)
     cos_nt[0:65:64] *= 0.5  # [f | |f|] with the endpoints of 64 intervals halved
     levels = (slice(0, 65), slice(65, 129), slice(129, None))

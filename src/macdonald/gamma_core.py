@@ -4,10 +4,10 @@ Provides principal-branch log-gamma split into modulus and phase, the
 entire reciprocal 1/Gamma, and closed forms for |Gamma(i*nu)| and
 arg Gamma(i*nu) on the imaginary axis.  All operations are pure.
 
-log Gamma is computed here, on numpy and the standard library alone
-(after Hare, "Computing the principal branch of log-Gamma", J. Algorithms
-25 (1997) 221-236): reflection for Re z < 1/2, upward recurrence until
-|z| >= 7, then ten terms of Stirling's series.
+log Gamma is computed here (after Hare, "Computing the principal branch of
+log-Gamma", J. Algorithms 25 (1997) 221-236): reflection for Re z < 1/2, upward
+recurrence until |z| >= 7, then ten terms of Stirling's series.  The scalar
+path needs the standard library alone; numpy serves the array forms.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError
 
 __all__ = [
@@ -40,13 +40,10 @@ _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8, _B9, _B10 = (
     1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
     -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0, 43867.0 / 244188.0, -174611.0 / 125400.0,
 )
-_B_POWERS = np.array([_B2, _B3, _B4, _B5, _B6, _B7, _B8, _B9, _B10], dtype=complex)
 _R_STIRLING = 7.0
-# k = 1..7 as a column: the array form takes the phases atan2(nu, k) of the factors
-# k + i nu that shift 1 + i nu to 8 + i nu
-_SHIFTS = np.arange(1.0, _R_STIRLING + 1.0)[:, None]
 # B_2k / (2k) = (2k - 1) _Bk, k = 10..1: Stirling's series of psi(w) in r = 1/w^2
-_PSI_COEFFS = (np.r_[_B_POWERS.real[::-1], _B1] * np.arange(19.0, 0.0, -2.0)).tolist()
+_PSI_COEFFS = [b * k for b, k in zip((_B10, _B9, _B8, _B7, _B6, _B5, _B4, _B3, _B2, _B1),
+                                       range(19, 0, -2))]
 # log Gamma(2 + e) = sum_k _TAYLOR_2[k - 1] e^k, the k-th coefficient (-1)^k (zeta(k) - 1) / k
 # (1 - Euler's gamma for k = 1); at |e| < 0.2 the first omitted term is below 1e-18
 _R_TAYLOR = 0.2
@@ -58,6 +55,13 @@ _TAYLOR_2 = (
     -9.439488275268397e-06, 4.374866789907488e-06, -2.039215753801366e-06,
     9.55141213040742e-07, -4.492469198764566e-07,
 )
+
+
+@cache
+def _arrays():
+    """_B2.._B10 as a complex row; the shifts k = 1..7 of 1 + i nu to 8 + i nu as a column."""
+    b_powers = np.array([_B2, _B3, _B4, _B5, _B6, _B7, _B8, _B9, _B10], dtype=complex)
+    return b_powers, np.arange(1.0, _R_STIRLING + 1.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def _stirling_series(w):
     np.multiply(powers[:2], powers[1], out=powers[2:4])
     np.multiply(powers[:4], powers[3], out=powers[4:8])
     np.multiply(powers[0], powers[7], out=powers[8])
-    return (u * (_B1 + _B_POWERS @ powers)).reshape(w.shape)
+    return (u * (_B1 + _arrays()[0] @ powers)).reshape(w.shape)
 
 
 def _stirling(w: complex) -> complex:
@@ -205,7 +209,7 @@ def abs_gamma_imag(nu: float) -> float:
     """|Gamma(i*nu)| = sqrt(pi / (nu * sinh(pi*nu))); even in nu."""
     if nu == 0.0 or not math.isfinite(nu):
         raise DomainError("abs_gamma_imag requires nu != 0 and finite")
-    a = abs(nu)
+    a = abs(float(nu))  # a numpy scalar would carry its own precision into the arithmetic
     if a > _NU_MAX:
         raise DomainError(f"|nu| = {a:g} exceeds supported bound {_NU_MAX:g}")
     if a < _TINY:
@@ -234,16 +238,17 @@ def _arg_gamma_one_plus_imag(nu: float | np.ndarray) -> float | np.ndarray:
     about an ulp of the larger part.  The package's one phase of Gamma on
     the imaginary axis.
     """
-    top = np.abs(nu).max() if isinstance(nu, np.ndarray) else abs(nu)
+    lone = type(nu) is float or not isinstance(nu, np.ndarray)  # a float never touches numpy
+    top = abs(nu) if lone else np.abs(nu).max()
     if top > _NU_MAX:
         raise DomainError(f"|nu| = {top:g} exceeds supported bound {_NU_MAX:g}")
-    if not isinstance(nu, np.ndarray):  # written out: a generator sum costs several times the call
+    if lone:  # written out: a generator sum costs several times the call
         return _stirling_imag(complex(_R_STIRLING + 1.0, nu)) - (
             math.atan2(nu, 1.0) + math.atan2(nu, 2.0) + math.atan2(nu, 3.0) + math.atan2(nu, 4.0)
             + math.atan2(nu, 5.0) + math.atan2(nu, 6.0) + math.atan2(nu, 7.0)
         )
     flat = nu.ravel()
-    phase_p = np.arctan2(flat, _SHIFTS).sum(axis=0)
+    phase_p = np.arctan2(flat, _arrays()[1]).sum(axis=0)
     return (_stirling_imag(_R_STIRLING + 1.0 + 1j * flat) - phase_p).reshape(nu.shape)
 
 
@@ -256,7 +261,7 @@ def _re_digamma_one_plus_imag(nu: float | np.ndarray) -> float | np.ndarray:
     """
     lone = np.ndim(nu) == 0  # one order takes Python's scalar arithmetic, several times faster
     nu = float(nu) if lone else np.asarray(nu, dtype=float)
-    nu2, j, w = nu * nu, _SHIFTS.ravel(), _R_STIRLING + 1.0  # w + i nu = 8 + i nu
+    nu2, j, w = nu * nu, _arrays()[1].ravel(), _R_STIRLING + 1.0  # w + i nu = 8 + i nu
     out = (
         0.5 * np.log1p(nu2 / w**2) + nu2 / (2.0 * w * (w**2 + nu2))  # ln|w| - Re 1/(2w)
         - (_psi_series(1.0 / (w + 1j * nu) ** 2).real - _psi_series(w**-2))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Literal, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .bessel_im import (
     _EPS,
     _check_order,
@@ -202,24 +202,29 @@ def _tail_cutoff(abs_tol: float) -> float:
 
 # Gauss-Kronrod G7K15 on [-1, 1], QUADPACK's qk15 (Piessens et al., 1983):
 # Kronrod nodes from -1 to the centre; the Gauss nodes are every second one.
-_XK = np.array([
+_XK = (
     -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
     -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
     -0.586087235467691130294144845693013, -0.405845151377397166906606412076961,
     -0.207784955007898467600689403773245, 0.0,
-])
-_WK = np.array([
+)
+_WK = (
     0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
     0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
     0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
-])
-_GK_NODES = np.concatenate([_XK, -_XK[-2::-1]])
-_GK_WEIGHTS = np.stack([np.concatenate([w, w[-2::-1]]) for w in (_WK, _WG)], axis=1)  # K15 | G7
+)
+
+
+@cache
+def _gk_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 15 nodes on [-1, 1], and their K15 | G7 weights as two columns."""
+    nodes = np.array(_XK + tuple(-x for x in _XK[-2::-1]))
+    return nodes, np.column_stack([w + w[-2::-1] for w in (_WK, _WG)])
 
 
 def _panel_edges(cuts: Sequence[float], omega: float) -> np.ndarray:
@@ -261,12 +266,13 @@ def _gauss_kronrod(
     length = edges[-1] - edges[0]
     done_value = done_err = 0.0  # panels accepted, or left as they are at the limit
     limit = _GK_LIMIT
+    nodes, weights = _gk_rule()
     while True:
         centre, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = f((centre[:, None] + r[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
-        kg = r[:, None] * (fx @ _GK_WEIGHTS).reshape(-1, r.size, 2)  # (m, panels, K15 | G7)
+        fx = f((centre[:, None] + r[:, None] * nodes).ravel()).reshape(-1, nodes.size)
+        kg = r[:, None] * (fx @ weights).reshape(-1, r.size, 2)  # (m, panels, K15 | G7)
         k15 = kg[..., 0]
-        floor = 50.0 * _EPS * r * (np.abs(fx) @ _GK_WEIGHTS[:, 0]).reshape(-1, r.size)
+        floor = 50.0 * _EPS * r * (np.abs(fx) @ weights[:, 0]).reshape(-1, r.size)
         err = np.maximum(np.abs(k15 - kg[..., 1]), floor)
         value = (done_value + k15.sum(axis=1)).tolist()
         total_err = (done_err + err.sum(axis=1)).tolist()
@@ -371,6 +377,7 @@ def kl_weight(nu: float) -> float:
     """
     if not nu > 0.0:
         raise DomainError("weight defined for nu > 0")
+    nu = float(nu)  # a numpy scalar would carry its own precision into the arithmetic
     try:
         w = math.pi * math.pi / (2.0 * nu * math.sinh(math.pi * nu))
     except (OverflowError, ZeroDivisionError):  # sinh overflows, or nu sinh(pi nu) underflows
@@ -390,6 +397,7 @@ def phase_function(nu: float, eta: float) -> float:
     """
     if not nu > 0.0:
         raise DomainError("nu must be > 0")
+    nu, eta = float(nu), float(eta)
     if not (abs(eta) < nu):
         raise DomainError(f"|eta| = {abs(eta):g} must stay below nu = {nu:g}")
     if eta == 0.0:
@@ -405,6 +413,7 @@ def delta_model(a: float, eta: float, f: Optional[Callable[[float], float]] = No
     """
     if not a > 0.0:
         raise DomainError("delta-sequence parameter a must be > 0")
+    a, eta = float(a), float(eta)
     if f is None:
         if eta == 0.0:
             return a / math.pi
@@ -553,7 +562,8 @@ def asymptotic_envelope(
     octave around xi, so successive halvings of xi shrink it by the clean
     factor 4 instead of an arbitrary sine ratio.
     """
-    PairSpec(nu, nu_prime, xi)  # orders and cutoff are valid before log(xi) is taken
+    pair = PairSpec(nu, nu_prime, xi)  # orders and cutoff are valid before log(xi) is taken
+    nu, nu_prime, xi = pair.nu, pair.nu_prime, pair.xi  # as Python floats
 
     def discrepancy(xs: np.ndarray) -> np.ndarray:
         # The refusals keep the order in which a sample-by-sample evaluation met
