@@ -22,12 +22,13 @@ kernel_quadrature(PairSpec(1, 1.5, 1e-3)) and of the array K
 _k_values((1, 1.5), x) at 22 integral-path abscissae x in (2, 10] on both
 sides, the microseconds per call and the tracemalloc peak in bytes of
 besselk_imag + besselk_dx at (36.21, 38.49), where the scalar integral path
-runs all 12 doublings, on both sides, and the CPU count.  Last, on the
-kernel_pairs inputs, it counts the G7K15 sweeps of each kernel_quadrature
-call (the calls of the integrand that _gauss_kronrod is given) on both
-sides, and reports their mean per call and the microseconds per sweep
-(the calls' summed time over their summed sweeps), sides interleaved as
-above.
+runs all 12 doublings, on both sides, and the CPU count.  Last, it counts
+the G7K15 sweeps (the calls of the integrand that _gauss_kronrod is given)
+of kernel_quadrature on the kernel_pairs inputs and of the reflected-term
+bound (ortho_verify._reflected_bound) on the weak_limit inputs, on both
+sides, and reports their mean per call, the microseconds per sweep (the
+calls' summed time over their summed sweeps) and the microseconds per
+call, sides interleaved as above.
 """
 
 from __future__ import annotations
@@ -120,10 +121,13 @@ def deep_integral(M) -> tuple[float, int]:
     return min(timeit.repeat(call, number=1, repeat=7)) * 1e6, peak
 
 
-def sweep_timing(sides: dict, inputs: list) -> dict:
-    """Mean G7K15 sweeps per kernel_quadrature call on kernel_pairs inputs, and us per sweep, per side."""
+def sweep_timing(sides: dict, calls: dict) -> dict:
+    """Mean G7K15 sweeps, us per sweep and us per call of each labelled call, per side.
+
+    `calls` maps a label to (call(M, inp), inputs).  A sweep is one call of
+    the integrand that _gauss_kronrod is given.
+    """
     sweeps = {side: 0 for side in sides}
-    seconds = {side: 0.0 for side in sides}
     for side, M in sides.items():
         o = importlib.import_module(M.__name__ + ".ortho_verify")
 
@@ -135,19 +139,32 @@ def sweep_timing(sides: dict, inputs: list) -> dict:
             return gk(g, *args)
 
         o._gauss_kronrod = counted
-    for i, inp in enumerate(inputs):
-        for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-            M = sides[side]
-            t0 = time.perf_counter()
-            try:
-                M.kernel_quadrature(M.PairSpec(inp["nu"], inp["nu2"], inp["xi"]))
-            except Exception:  # a refused call counts, as in the workload
-                pass
-            seconds[side] += time.perf_counter() - t0
-    return {
-        "kernel_quadrature_sweeps_per_call": {s: sweeps[s] / len(inputs) for s in sides},
-        "kernel_quadrature_us_per_sweep": {s: seconds[s] / sweeps[s] * 1e6 for s in sides},
-    }
+    out = {}
+    for label, (call, inputs) in calls.items():
+        start = dict(sweeps)
+        seconds = {side: 0.0 for side in sides}
+        for i, inp in enumerate(inputs):
+            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                t0 = time.perf_counter()
+                try:
+                    call(sides[side], inp)
+                except Exception:  # a refused call counts, as in the workload
+                    pass
+                seconds[side] += time.perf_counter() - t0
+        n = {side: sweeps[side] - start[side] for side in sides}
+        out[f"{label}_sweeps_per_call"] = {s: n[s] / len(inputs) for s in sides}
+        out[f"{label}_us_per_sweep"] = {s: seconds[s] / n[s] * 1e6 for s in sides}
+        out[f"{label}_us_per_call"] = {s: seconds[s] / len(inputs) * 1e6 for s in sides}
+    return out
+
+
+def quadrature(M, inp):
+    return M.kernel_quadrature(M.PairSpec(inp["nu"], inp["nu2"], inp["xi"]))
+
+
+def reflected_bound(M, inp):
+    phi = M.TestFunctionSpec(*inp["phi"])
+    return M.ortho_verify._reflected_bound(inp["nu"], min(inp["xi"]), phi)
 
 
 def main() -> int:
@@ -219,8 +236,16 @@ def main() -> int:
         "us_per_call": {side: us for side, (us, _) in deep.items()},
         "tracemalloc_peak_bytes": {side: peak for side, (_, peak) in deep.items()},
     }
-    pairs = workloads.WORKLOADS["kernel_pairs"]
-    report.update(sweep_timing(sides, list(itertools.islice(workloads.stream(pairs, args.seed), args.ops))))
+
+    def inputs(name):
+        stream = workloads.stream(workloads.WORKLOADS[name], args.seed)
+        return list(itertools.islice(stream, args.ops))
+
+    calls = {
+        "kernel_quadrature": (quadrature, inputs("kernel_pairs")),
+        "_reflected_bound": (reflected_bound, inputs("weak_limit")),
+    }
+    report.update(sweep_timing(sides, calls))
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0

@@ -247,25 +247,32 @@ def _gauss_kronrod(
     edges: np.ndarray,
     epsabs: float,
     epsrel: float,
-) -> tuple[list[float], list[float]]:
+) -> tuple[list[float], list[float], list[float]]:
     """Adaptive G7K15 of f over (edges[0], edges[-1]), starting from the panels between the edges.
 
     f maps N nodes to N values, or to m components of N values each, shape
     (m, N); the components share every panel.  Each sweep evaluates f once,
     at the 15 nodes of every pending panel.  A panel's error in a component
     is max(|K15 - G7|, 50 eps r sum w|f|), the second term QUADPACK's
-    roundoff floor.  The sweeps stop once every component's summed error is
-    within its tolerance max(epsabs, epsrel |value|); until then a panel
-    within its share of each component's tolerance (by width) is accepted
-    and the rest are bisected, the worst relative to its tolerance first, as
-    long as the bisections number at most _GK_LIMIT in all; the panels
-    between the edges do not count.  Returns (values, summed error
-    estimates), one Python float per component.
+    roundoff floor.  A component's tolerance is max(epsabs, epsrel |value|),
+    raised to its summed floor, 50 eps of int |f|, where that is larger: no
+    estimate falls below the floor, so where the integrand cancels a
+    tolerance beneath it could never be met.  An epsrel below 50 eps raises
+    it only to epsrel int |f|, so a request finer than binary64 can show
+    still misses (QUADPACK refuses such an epsrel where epsabs <= 0).  The
+    sweeps stop once every component's summed error is within its
+    tolerance; until then a panel within its share of each component's
+    tolerance (by width) is accepted and the rest are bisected, the worst
+    relative to its tolerance first, as long as the bisections number at
+    most _GK_LIMIT in all; the panels between the edges do not count.
+    Returns (values, summed error estimates, tolerances), one Python float
+    per component.
     """
     lo, hi = edges[:-1], edges[1:]
     length = edges[-1] - edges[0]
-    done_value = done_err = 0.0  # panels accepted, or left as they are at the limit
+    done_value = done_err = done_floor = 0.0  # panels accepted, or left as they are at the limit
     limit = _GK_LIMIT
+    lift = min(1.0, epsrel / (50.0 * _EPS))  # the share of the floor a tolerance may rise to
     nodes, weights = _gk_rule()
     while True:
         centre, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -277,8 +284,11 @@ def _gauss_kronrod(
         value = (done_value + k15.sum(axis=1)).tolist()
         total_err = (done_err + err.sum(axis=1)).tolist()
         tol = [max(epsabs, epsrel * abs(v)) for v in value]
+        if any(e > t for e, t in zip(total_err, tol)):  # else every floor is within it too
+            total_floor = (done_floor + floor.sum(axis=1)).tolist()
+            tol = [max(t, lift * fl) for t, fl in zip(tol, total_floor)]
         if all(e <= t for e, t in zip(total_err, tol)):
-            return value, total_err
+            return value, total_err, tol
         excess = err[0]  # each panel's worst error, on the scale of the first tolerance
         for j in range(1, len(tol)):
             excess = np.maximum(excess, err[j] * (tol[0] / tol[j]))
@@ -288,11 +298,23 @@ def _gauss_kronrod(
         keep[split] = False
         done_value += k15[:, keep].sum(axis=1)
         done_err += err[:, keep].sum(axis=1)
+        done_floor += floor[:, keep].sum(axis=1)
         if not split.size:
-            return done_value.tolist(), done_err.tolist()
+            return done_value.tolist(), done_err.tolist(), tol
         limit -= split.size
         lo = np.concatenate([lo[split], centre[split]])
         hi = np.concatenate([centre[split], hi[split]])
+
+
+def _quadrature_edges(xi: float, upper: float, omega: float) -> np.ndarray:
+    """kernel_quadrature's first partition of (ln xi, ln U) in u = ln x.
+
+    One panel per half-period pi / omega, and an edge at u = 0 (x = 1) where
+    it lies inside: below it the product oscillates in u, above it it decays
+    like e^{-2x}, and one panel across both bisects its way down.
+    """
+    a, b = math.log(xi), math.log(upper)
+    return _panel_edges([a, 0.0, b] if a < 0.0 < b else [a, b], omega)
 
 
 def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -> KernelValue:
@@ -300,11 +322,16 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
 
     One adaptive G7K15 run (_gauss_kronrod) in u = ln x over (ln xi, ln U):
     dx/x = du, and in u the product oscillates at angular frequency at most
-    nu + nu' and, beyond x ~ 2, decays like e^{-2x} within a short stretch.
-    The first partition has one panel per half-period pi / (nu + nu'),
-    however many that is; bisection adds at most 400 panels.  Each pass
-    evaluates both orders at all of its nodes in one array call
-    (bessel_im._k_sweeps), on one set-up of each order for every pass.
+    nu + nu' and, beyond x ~ 1, decays like e^{-2x} within a short stretch.
+    The first partition (_quadrature_edges) has one panel per half-period
+    pi / (nu + nu'), however many that is, and an edge at x = 1 between the
+    two regimes; bisection adds at most 400 panels.  Each pass evaluates
+    both orders at all of its nodes in one array call (bessel_im._k_sweeps),
+    on one set-up of each order for every pass.  The estimate is refused
+    beyond 10 times the tolerance abs_tol + rel_tol |value|, raised to the
+    G7K15 rounding floor as _gauss_kronrod raises its own: at xi ~ 1e-300
+    and small orders the product cancels over ~700 units of u, and the
+    floor alone exceeds abs_tol.
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
     upper = quad.upper if quad.upper is not None else _tail_cutoff(quad.abs_tol)
@@ -317,10 +344,10 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
         k = k_at(np.exp(u))
         return k[:, 0] * k[:, 1]
 
-    edges = _panel_edges([math.log(xi), math.log(upper)], nu + nup)
-    (total,), (err,) = _gauss_kronrod(product, edges, 0.5 * quad.abs_tol, quad.rel_tol)
+    edges = _quadrature_edges(xi, upper, nu + nup)
+    (total,), (err,), (tol,) = _gauss_kronrod(product, edges, 0.5 * quad.abs_tol, quad.rel_tol)
     err += (math.pi / (4.0 * upper * upper)) * math.exp(-2.0 * upper)
-    if err > 10.0 * (quad.abs_tol + quad.rel_tol * abs(total)):
+    if err > 10.0 * max(quad.abs_tol + quad.rel_tol * abs(total), tol):
         raise ConvergenceError(
             f"quadrature error estimate {err:.3g} exceeds requested tolerance",
             estimate=KernelValue(value=total, method="quadrature", abs_err_estimate=err),
@@ -484,14 +511,23 @@ def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> l
     _check_order(hi)  # nodes beyond NU_MAX are refused; refuse before laying their panels
     cuts = [lo, nu, hi] if lo < nu < hi else [lo, hi]
     edges = _panel_edges(cuts, -math.log(0.5 * min(xis)))  # the kernel oscillates at ln(2/xi)
-    values, _errs = _gauss_kronrod(integrand, edges, 1e-10, 1e-9)
-    return values
+    return _gauss_kronrod(integrand, edges, 1e-10, 1e-9)[0]
 
 
 def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
-    """|second (nu + nu') term of the sinc form integrated against phi|, by adaptive G7K15."""
+    """|second (nu + nu') term of the sinc form integrated against phi|, by adaptive G7K15.
+
+    The prefactor grows like 1 / sqrt(nu' sinh(pi nu')) ~ 1/nu' toward
+    nu' = 0, where the support is cut at lo >= 0.01, so the first partition
+    is graded toward 0: cuts at lo, 2 lo, 4 lo, ... below hi, so that no
+    panel is wider than its left end's distance from 0, then one panel per
+    half-period pi / ln(2/xi) of the sine inside each interval.
+    """
     lo, hi = phi.support()
     lo = max(lo, 1.0e-2)
+    cuts = [lo]
+    while 2.0 * cuts[-1] < hi:
+        cuts.append(2.0 * cuts[-1])
     lg = math.log(0.5 * xi)
     g1 = arg_gamma_imag(nu)
 
@@ -500,7 +536,7 @@ def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
         s = np.sin(-(nu + nup) * lg + g1 + (_arg_gamma_one_plus_imag(nup) - 0.5 * math.pi))
         return _asym_prefactor(nu, nup) * s / (nu + nup) * phi(nup)
 
-    (value,), _err = _gauss_kronrod(integrand, _panel_edges([lo, hi], -lg), 1e-12, 1e-10)
+    value = _gauss_kronrod(integrand, _panel_edges([*cuts, hi], -lg), 1e-12, 1e-10)[0][0]
     return abs(value)
 
 

@@ -78,10 +78,12 @@ def per_sweep_quadrature(pair, quad=ortho_verify.QuadratureSpec()):
         k = per_sweep_k_values((nu, nup), np.exp(u))
         return k[:, 0] * k[:, 1]
 
-    edges = ortho_verify._panel_edges([math.log(xi), math.log(upper)], nu + nup)
-    (total,), (err,) = ortho_verify._gauss_kronrod(product, edges, 0.5 * quad.abs_tol, quad.rel_tol)
+    edges = ortho_verify._quadrature_edges(xi, upper, nu + nup)
+    (total,), (err,), (tol,) = ortho_verify._gauss_kronrod(
+        product, edges, 0.5 * quad.abs_tol, quad.rel_tol
+    )
     err += (math.pi / (4.0 * upper * upper)) * math.exp(-2.0 * upper)
-    if err > 10.0 * (quad.abs_tol + quad.rel_tol * abs(total)):
+    if err > 10.0 * max(quad.abs_tol + quad.rel_tol * abs(total), tol):
         raise ConvergenceError(
             f"quadrature error estimate {err:.3g} exceeds requested tolerance",
             estimate=KernelValue(value=total, method="quadrature", abs_err_estimate=err),

@@ -257,13 +257,13 @@ class TestSingleSweep:
         def f(v):
             return np.stack([1e6 * np.cos(v), 1e-3 * np.cos(40.0 * v)])
 
-        values, errs = ortho_verify._gauss_kronrod(f, np.array([0.0, 1.0]), 1e-12, 1e-10)
+        values, errs, tols = ortho_verify._gauss_kronrod(f, np.array([0.0, 1.0]), 1e-12, 1e-10)
         exact = [1e6 * math.sin(1.0), 1e-3 * math.sin(40.0) / 40.0]
-        for value, err, ref in zip(values, errs, exact):
+        for value, err, tol, ref in zip(values, errs, tols, exact):
             assert type(value) is float and type(err) is float
-            assert err <= max(1e-12, 1e-10 * abs(value))
+            assert err <= tol == max(1e-12, 1e-10 * abs(value))
             assert abs(value - ref) <= max(1e-12, 1e-10 * abs(ref))
-        (alone,), _ = ortho_verify._gauss_kronrod(
+        (alone,), *_ = ortho_verify._gauss_kronrod(
             lambda v: f(v)[0], np.array([0.0, 1.0]), 1e-12, 1e-10
         )
         assert abs(values[0] - alone) <= 1e-10 * abs(alone)
@@ -281,6 +281,22 @@ class TestSingleSweep:
     def test_orders_refused_before_the_upper_cutoff(self):
         with pytest.raises(DomainError, match="exceeds supported bound"):
             kernel_quadrature(PairSpec(1.0, 60.0, 0.1), QuadratureSpec(upper=0.05))
+
+
+def count_sweeps(monkeypatch):
+    """A one-item list that counts the G7K15 sweeps from here on: the calls of each integrand."""
+    sweeps = [0]
+    gauss_kronrod = ortho_verify._gauss_kronrod
+
+    def counted(f, *a):
+        def g(u):
+            sweeps[0] += 1
+            return f(u)
+
+        return gauss_kronrod(g, *a)
+
+    monkeypatch.setattr(ortho_verify, "_gauss_kronrod", counted)
+    return sweeps
 
 
 def same_outcome(f, g):
@@ -315,24 +331,15 @@ class TestQuadratureSetUpOncePerCall:
             assert same, (pair, spec, out)
 
     def test_one_set_up_per_order(self, monkeypatch):
-        calls = {"sweeps": 0, "_series_run": [], "_arg_gamma_one_plus_imag": []}
+        calls = {"_series_run": [], "_arg_gamma_one_plus_imag": []}
         for name in ("_series_run", "_arg_gamma_one_plus_imag"):
             f = getattr(bessel_im, name)
             monkeypatch.setattr(
                 bessel_im, name, lambda nu, *a, f=f, name=name: calls[name].append(nu) or f(nu, *a)
             )
-        gauss_kronrod = ortho_verify._gauss_kronrod
-
-        def counted(f, *a):
-            def g(u):
-                calls["sweeps"] += 1
-                return f(u)
-
-            return gauss_kronrod(g, *a)
-
-        monkeypatch.setattr(ortho_verify, "_gauss_kronrod", counted)
+        sweeps = count_sweeps(monkeypatch)
         kernel_quadrature(PairSpec(0.2, 0.1, 1e-3))
-        assert calls["sweeps"] == 4
+        assert sweeps[0] == 3  # several sweeps, one set-up
         assert calls["_series_run"] == calls["_arg_gamma_one_plus_imag"] == [0.2, 0.1]
 
     def test_no_overflow_warning_at_a_huge_cutoff(self):
@@ -345,6 +352,87 @@ class TestQuadratureSetUpOncePerCall:
         with np.errstate(over="ignore"):
             ref = sweep_reference.per_sweep_quadrature(pair, spec)
         assert (repr(kv.value), repr(kv.abs_err_estimate)) == (repr(ref.value), repr(ref.abs_err_estimate))
+
+
+def first_partition(monkeypatch, run):
+    """The edges that run() hands to _gauss_kronrod, which is not run (the tail may then refuse)."""
+    edges = []
+    monkeypatch.setattr(
+        ortho_verify, "_gauss_kronrod", lambda f, e, *a: edges.append(e) or ([0.0], [0.0], [0.0])
+    )
+    try:
+        run()
+    except ConvergenceError:
+        pass
+    (out,) = edges
+    return out
+
+
+class TestFirstPartitions:
+    @pytest.mark.parametrize(
+        "xi, upper",
+        [(1e-3, None), (1e-300, None), (0.999, None), (1.0, None), (1.5, None),
+         (0.1, 0.5), (0.1, 1.0), (0.1, 1.001), (0.5, 3.0)],
+    )
+    def test_edge_at_x_one_exactly_when_inside(self, xi, upper, monkeypatch):
+        # in u = ln x the product oscillates below x ~ 1 and decays like e^{-2x} above
+        spec = QuadratureSpec(upper=upper)
+        nu, nup = 0.3, 0.2
+        edges = first_partition(monkeypatch, lambda: kernel_quadrature(PairSpec(nu, nup, xi), spec))
+        u_upper = math.log(upper if upper is not None else ortho_verify._tail_cutoff(spec.abs_tol))
+        assert edges[0] == math.log(xi) and edges[-1] == u_upper
+        assert (0.0 in edges[1:-1]) == (math.log(xi) < 0.0 < u_upper)
+        assert np.all(np.diff(edges) > 0.0)
+        assert np.all(np.diff(edges) <= math.pi / (nu + nup) * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "nu, xi, phi",
+        [(1.0, 1e-3, (0.1, 0.05)), (1.0, 1e-6, (1.0, 0.2)), (2.0, 1e-2, (2.0, 0.05)),
+         (0.5, 1e-8, (0.6, 0.1))],
+    )
+    def test_reflected_partition_graded_toward_zero(self, nu, xi, phi, monkeypatch):
+        # the prefactor grows like 1/nu' toward nu' = 0: cuts at lo, 2 lo, 4 lo, ... below
+        # hi, no panel wider than its left end's distance from 0, and half-periods within
+        phi = TestFunctionSpec("gaussian-bump", *phi)
+        edges = first_partition(monkeypatch, lambda: ortho_verify._reflected_bound(nu, xi, phi))
+        lo, hi = max(phi.support()[0], 1e-2), phi.support()[1]
+        assert edges[0] == lo and edges[-1] == hi
+        cut = lo
+        while cut < hi:
+            assert cut in edges
+            cut *= 2.0
+        widths = np.diff(edges)
+        assert np.all(widths > 0.0)
+        assert np.all(widths <= edges[:-1] * (1.0 + 1e-12))
+        assert np.all(widths <= math.pi / math.log(2.0 / xi) * (1.0 + 1e-12))
+
+    def test_few_sweeps_at_small_orders(self, monkeypatch):
+        # the kernel_pairs draw with nu below 0.6 (nu + nu' < pi): 2.5-2.7 sweeps per
+        # call with one first panel across x = 1, 2.1 with the edge there
+        sweeps = count_sweeps(monkeypatch)
+        rng = np.random.default_rng(3)
+        n = 100
+        for _ in range(n):
+            nu = math.exp(rng.uniform(math.log(0.2), math.log(0.6)))
+            xi = math.exp(rng.uniform(math.log(1e-6), math.log(2.0)))
+            kernel_quadrature(PairSpec(nu, nu * 2.0 ** rng.uniform(-1.0, 1.0), xi))
+        assert sweeps[0] / n <= 2.3
+
+    def test_few_sweeps_for_the_reflected_bound(self, monkeypatch):
+        # 2.4 sweeps per call from half-period panels alone, about 1.6 graded
+        sweeps = count_sweeps(monkeypatch)
+        cases = list(weak_limit_cases(60, seed=3))
+        for nu, xis, phi in cases:
+            ortho_verify._reflected_bound(nu, min(xis), phi)
+        assert sweeps[0] / len(cases) <= 1.8
+
+    def test_no_refusal_at_the_rounding_floor(self):
+        # at xi = 1e-300 the product cancels over 690 units of u, and G7K15's rounding
+        # floor (about 1.6e-10) exceeds abs_tol: the floor is the tolerance there
+        pair = PairSpec(0.2, 0.1, 1e-300)
+        kv = kernel_quadrature(pair)
+        assert abs(kv.value - kernel_boundary(pair).value) <= kv.abs_err_estimate
+        assert kv.abs_err_estimate > QuadratureSpec().abs_tol
 
 
 def quad_reference(pair, quad=QuadratureSpec()):
@@ -861,7 +949,7 @@ class TestWeakLimitRegression:
                 1.3, 0.03, ("gaussian-bump", 1.25, 0.1),
                 "WeakLimitReport(nu=1.3, xi_sequence=(0.03,), a_sequence=(4.199705077879927,), "
                 "smeared_values=(0.05181390195300333,), target=0.11285049858982332, "
-                "errors=(0.06103659663681999,), reflected_term_bound=0.002613289893686267)",
+                "errors=(0.06103659663681999,), reflected_term_bound=0.0026132898936862673)",
             ),
             (  # nu outside the support of phi
                 0.8, 0.0021296280236068246, ("gaussian-bump", 0.7, 0.011),
@@ -874,8 +962,13 @@ class TestWeakLimitRegression:
     )
     def test_one_cutoff_keeps_its_bits(self, nu, xi, phi, frozen):
         # frozen from the quadrature that ran once per cutoff: with one cutoff the
-        # shared quadrature does the same arithmetic
-        assert repr(weak_limit_test(nu, [xi], TestFunctionSpec(*phi))) == frozen
+        # shared quadrature does the same arithmetic.  The reflected bound of the
+        # first case was re-frozen, one ulp up, when its partition was graded
+        # toward nu' = 0; it is checked against scipy here.
+        report = weak_limit_test(nu, [xi], TestFunctionSpec(*phi))
+        assert repr(report) == frozen
+        reference = reflected_reference(nu, xi, TestFunctionSpec(*phi))
+        assert abs(report.reflected_term_bound - reference) <= 1e-12
 
     def test_returns_python_floats(self):
         phi = TestFunctionSpec("gaussian-bump", 1.0, 0.1)
