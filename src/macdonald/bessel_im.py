@@ -619,19 +619,21 @@ def smallx_error_envelope(nu: float, x: float, n_samples: int = 16) -> float:
 def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:
     """Normalized residual of the self-adjoint modified Bessel equation.
 
-    For family "K": |d/dx(x K') + (nu^2/x - x) K| / ((nu^2/x + x) |K|)
-    with all derivatives termwise.  For family "I" the same identity is
-    checked for I_{i nu} (complex), normalized the same way.  RangeError outside its x range.
+    For family "K": |x K'' + K' + (nu^2/x - x) K| / (|x K''| + |K'| + |(nu^2/x - x) K|),
+    the residual over the summed magnitudes of the equation's three terms,
+    with all derivatives termwise.  At small x and nu the terms x K'' and
+    K' are each about 1/x and cancel, so a norm of the K term alone would
+    magnify their rounding.  For family "I" the same identity is checked
+    for I_{i nu} (complex), normalized the same way.  RangeError outside its x range.
     """
     nu_s = abs(_check_order(nu))
     x = _check_abscissa(x)
     top = X_SERIES_MAX if family == "I" else 700.0  # K underflows, the I series loses its range
     if not 1e-150 <= x <= top:  # below, 1/x^2 of the second derivatives nears the top of the floats
         raise RangeError(f"ode_residual supports 1e-150 <= x <= {top:g}, got {x!r}")
-    weight = nu_s * nu_s / x - x
-    norm = abs(nu_s * nu_s / x) + x
     if family == "I":
         f0, f1, f2 = (_i_series(nu_s, x, d)[0] for d in (0, 1, 2))
     else:
         (f0, _), (f1, _), (f2, _) = _k_eval(nu_s, x, orders=(0, 1, 2))[0]
-    return abs(x * f2 + f1 + weight * f0) / (norm * abs(f0))
+    terms = (x * f2, f1, (nu_s * nu_s / x - x) * f0)
+    return abs(sum(terms)) / sum(map(abs, terms))

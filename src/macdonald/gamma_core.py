@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from ._numpy import np
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 __all__ = [
     "GammaEval",
@@ -196,13 +196,22 @@ def log_gamma(z: complex) -> GammaEval:
 
 
 def reciprocal_gamma(z: complex) -> complex:
-    """1/Gamma(z); entire, exactly zero at z = 0, -1, -2, ..."""
+    """1/Gamma(z); entire, exactly zero at z = 0, -1, -2, ...
+
+    Raises DomainError for |z| > 1e4, as log_gamma does, and RangeError
+    where |1/Gamma(z)| overflows: beyond |Im z| ~ 450, or Re z ~ -171 off the poles.
+    """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"non-finite argument {z!r}")
     if _is_pole(z):
         return 0.0 + 0.0j
-    return cmath.exp(-_log_gamma(z))
+    if abs(z) > _ABS_Z_MAX:
+        raise DomainError(f"|z| = {abs(z):g} exceeds supported bound {_ABS_Z_MAX:g}")
+    try:
+        return cmath.exp(-_log_gamma(z))
+    except OverflowError:
+        raise RangeError(f"|1/Gamma(z)| overflows at z = {z!r}") from None
 
 
 def abs_gamma_imag(nu: float) -> float:

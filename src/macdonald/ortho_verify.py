@@ -103,6 +103,12 @@ class QuadratureSpec:
     rel_tol: float = 1.0e-11
     upper: Optional[float] = None  # derived from the tail bound when None
 
+    def __post_init__(self):
+        if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
+            raise DomainError("tolerances must be finite and >= 0")
+        if self.upper is not None and not 0.0 < self.upper < math.inf:
+            raise DomainError("upper cutoff must be positive and finite")
+
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
@@ -129,11 +135,12 @@ class TestFunctionSpec:
     def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
         """phi(v) for a float v (a float), or elementwise over an array of v."""
         u = (np.asarray(v, dtype=float) - self.center) / self.width
-        if self.kind == "gaussian-bump":
-            out = np.exp(-0.5 * u * u)
-        else:
-            inside = np.abs(u) < 1.0
-            out = np.where(inside, np.exp(1.0 - 1.0 / np.where(inside, 1.0 - u * u, 1.0)), 0.0)
+        with np.errstate(over="ignore"):  # u or u u overflows only where phi is 0 exactly
+            if self.kind == "gaussian-bump":
+                out = np.exp(-0.5 * u * u)
+            else:
+                inside = np.abs(u) < 1.0
+                out = np.where(inside, np.exp(1.0 - 1.0 / np.where(inside, 1.0 - u * u, 1.0)), 0.0)
         return out if out.ndim else float(out)
 
     def support(self) -> tuple[float, float]:
@@ -178,6 +185,8 @@ def kernel_boundary(pair: PairSpec) -> KernelValue:
             / (nu^2 - nu'^2)
     Its estimate carries the four K and K' estimates through the products,
     with 4 eps of each product for the roundings of the products and the difference.
+    Raises RangeError where that estimate is not finite (K' or an estimate
+    overflows at tiny orders and cutoffs).
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
     if abs(nu - nup) < _DIAG_GUARD:  # refuse before any K is evaluated
@@ -189,6 +198,10 @@ def kernel_boundary(pair: PairSpec) -> KernelValue:
     value = _wronskian_term(nu, nup, xi, k1, d1, k2, d2)
     products = abs(d2) * e1 + abs(k1) * f2 + abs(d1) * e2 + abs(k2) * f1
     err = xi * (products + 4.0 * _EPS * (abs(k1 * d2) + abs(k2 * d1))) / abs(nu * nu - nup * nup)
+    if not err < math.inf:  # nan too
+        raise RangeError(
+            f"boundary-term error estimate is not finite at nu = {nu:g}, nu' = {nup:g}, xi = {xi:g}"
+        )
     return KernelValue(value=value, method="boundary-term", abs_err_estimate=err)
 
 
@@ -306,15 +319,21 @@ def _gauss_kronrod(
         hi = np.concatenate([centre[split], hi[split]])
 
 
+# kernel_quadrature's first-partition edges in u = ln x: near x = 1 the product turns from
+# oscillating in u to decaying like e^{-2x}, and x = 2, 4, 8 step through that decay
+_QUADRATURE_CUTS = (-2.0, -1.0, 0.0, math.log(2.0), math.log(4.0), math.log(8.0))
+
+
 def _quadrature_edges(xi: float, upper: float, omega: float) -> np.ndarray:
     """kernel_quadrature's first partition of (ln xi, ln U) in u = ln x.
 
-    One panel per half-period pi / omega, and an edge at u = 0 (x = 1) where
-    it lies inside: below it the product oscillates in u, above it it decays
-    like e^{-2x}, and one panel across both bisects its way down.
+    One panel per half-period pi / omega, and the edges of _QUADRATURE_CUTS
+    (x = e^-2, e^-1, 1, 2, 4, 8) that lie inside: one panel across the turn
+    from oscillation to decay, or across decades of that decay, bisects
+    its way down.
     """
     a, b = math.log(xi), math.log(upper)
-    return _panel_edges([a, 0.0, b] if a < 0.0 < b else [a, b], omega)
+    return _panel_edges([a, *(c for c in _QUADRATURE_CUTS if a < c < b), b], omega)
 
 
 def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -> KernelValue:
@@ -324,8 +343,9 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
     dx/x = du, and in u the product oscillates at angular frequency at most
     nu + nu' and, beyond x ~ 1, decays like e^{-2x} within a short stretch.
     The first partition (_quadrature_edges) has one panel per half-period
-    pi / (nu + nu'), however many that is, and an edge at x = 1 between the
-    two regimes; bisection adds at most 400 panels.  Each pass evaluates
+    pi / (nu + nu'), however many that is, an edge at x = 1 between the
+    two regimes, and edges at x = e^-2, e^-1, 2, 4 and 8 on either side of
+    it; bisection adds at most 400 panels.  Each pass evaluates
     both orders at all of its nodes in one array call (bessel_im._k_sweeps),
     on one set-up of each order for every pass.  The estimate is refused
     beyond 10 times the tolerance abs_tol + rel_tol |value|, raised to the
@@ -436,20 +456,24 @@ def delta_model(a: float, eta: float, f: Optional[Callable[[float], float]] = No
     """Delta-sequence kernel sin[a eta + f(eta)] / (pi eta).
 
     At eta = 0 returns the removable-singularity value (a + f'(0)) / pi,
-    with f'(0) by central difference at step 1e-6.
+    with f'(0) by central difference at step 1e-6.  Raises DomainError
+    unless a and eta are finite and the phase a eta + f(eta) and the value
+    are finite too.
     """
-    if not a > 0.0:
-        raise DomainError("delta-sequence parameter a must be > 0")
+    if not 0.0 < a < math.inf:
+        raise DomainError("delta-sequence parameter a must be > 0 and finite")
     a, eta = float(a), float(eta)
-    if f is None:
-        if eta == 0.0:
-            return a / math.pi
-        return math.sin(a * eta) / (math.pi * eta)
+    if not abs(eta) < math.inf:  # nan too
+        raise DomainError(f"eta = {eta!r} must be finite")
     if eta == 0.0:
-        h = 1.0e-6
-        fp0 = (f(h) - f(-h)) / (2.0 * h)
-        return (a + fp0) / math.pi
-    return math.sin(a * eta + f(eta)) / (math.pi * eta)
+        slope = 0.0 if f is None else (f(1.0e-6) - f(-1.0e-6)) / 2.0e-6
+        value = (a + slope) / math.pi
+    else:
+        phase = a * eta if f is None else a * eta + f(eta)
+        value = math.sin(phase) / (math.pi * eta) if abs(phase) < math.inf else math.nan
+    if not abs(value) < math.inf:
+        raise DomainError(f"sin(a eta + f(eta)) / (pi eta) is not finite at a = {a:g}, eta = {eta:g}")
+    return value
 
 
 def diagonal_limit(nu: float, xi: float) -> float:
@@ -520,8 +544,9 @@ def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
     The prefactor grows like 1 / sqrt(nu' sinh(pi nu')) ~ 1/nu' toward
     nu' = 0, where the support is cut at lo >= 0.01, so the first partition
     is graded toward 0: cuts at lo, 2 lo, 4 lo, ... below hi, so that no
-    panel is wider than its left end's distance from 0, then one panel per
-    half-period pi / ln(2/xi) of the sine inside each interval.
+    panel is wider than its left end's distance from 0, then equal panels
+    inside each interval, none wider than the half-period pi / ln(2/xi) of
+    the sine or than phi's width, the scale on which phi varies.
     """
     lo, hi = phi.support()
     lo = max(lo, 1.0e-2)
@@ -536,7 +561,8 @@ def _reflected_bound(nu: float, xi: float, phi: TestFunctionSpec) -> float:
         s = np.sin(-(nu + nup) * lg + g1 + (_arg_gamma_one_plus_imag(nup) - 0.5 * math.pi))
         return _asym_prefactor(nu, nup) * s / (nu + nup) * phi(nup)
 
-    value = _gauss_kronrod(integrand, _panel_edges([*cuts, hi], -lg), 1e-12, 1e-10)[0][0]
+    edges = _panel_edges([*cuts, hi], max(-lg, math.pi / phi.width))
+    value = _gauss_kronrod(integrand, edges, 1e-12, 1e-10)[0][0]
     return abs(value)
 
 

@@ -849,6 +849,13 @@ class TestOdeResidual:
                         except RangeError:
                             assert not 1e-150 <= x <= (X_SERIES_MAX if family == "I" else 700.0)
 
+    def test_order_zero_at_small_x(self):
+        # x K'' and K' are each about 1/x there and cancel; normalized by (nu^2/x + x)|K|
+        # alone the residual read 8.2e2 at x = 1e-10 and 1.0e183 at x = 1e-100
+        for nu in (0.0, 0.1, 1.0, 10.0):
+            for x in np.geomspace(1e-150, 50.0, 60):
+                assert ode_residual(nu, float(x)) <= 1e-10, (nu, x)
+
     @pytest.mark.parametrize("family, top", [("K", 700.0), ("I", X_SERIES_MAX)])
     def test_edges_of_the_range(self, family, top):
         for nu in (0.1, 1.0, 50.0):
