@@ -19,9 +19,7 @@ the minimum over the rounds:
   one scalar series pass, of the array Gamma(1 + i nu) term that the array
   K series takes at 50 orders, and of the continuous phase on the imaginary
   axis at 120 orders, the sizes a weak_limit op passes.  Each term is the
-  phase `_arg_gamma_one_plus_imag`, float or array; a checkout that predates
-  it is timed on the names it has instead: `_reciprocal_gamma_one_plus_imag`
-  (float, and array where it lacks the phase) and `_arg_gamma_imag_continuous`.
+  phase `_arg_gamma_one_plus_imag`, float or array.
 """
 
 from __future__ import annotations
@@ -65,15 +63,12 @@ nu120 = rng.uniform(0.05, 5.0, 120)
 def per_call(fn, number, calls=1):
     return min(timeit.repeat(fn, number=number, repeat=7)) / number / calls * 1e6
 
-old = hasattr(g, "_reciprocal_gamma_one_plus_imag")  # a checkout before the one phase
-scalar_term = g._reciprocal_gamma_one_plus_imag if old else g._arg_gamma_one_plus_imag
-array_term = getattr(g, "_arg_gamma_one_plus_imag", None) or g._reciprocal_gamma_one_plus_imag
-continuous = g._arg_gamma_imag_continuous if old else g._arg_gamma_one_plus_imag
+phase = g._arg_gamma_one_plus_imag
 
 print(per_call(lambda: [g.reciprocal_gamma(complex(1.0, v)) for v in scalar], 20, len(scalar)))
-print(per_call(lambda: [scalar_term(v) for v in scalar], 20, len(scalar)))
-print(per_call(lambda: array_term(nu50), 500))
-print(per_call(lambda: continuous(nu120), 500))
+print(per_call(lambda: [phase(v) for v in scalar], 20, len(scalar)))
+print(per_call(lambda: phase(nu50), 500))
+print(per_call(lambda: phase(nu120), 500))
 """
 
 CALL_NAMES = (

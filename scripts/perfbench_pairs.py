@@ -9,7 +9,10 @@ BEFORE.  The JSON holds every run (exit code, correct, attempted, failed
 and each end-to-end metric) and, per metric, each side's median and
 quartiles, the after/before ratio of the medians, the pairs the after side
 won (ties count for neither) and the gap between the medians over the
-before side's interquartile range.  The CPU count is recorded with them.
+before side's interquartile range, over the metrics that every run
+reports.  The CPU count is recorded with them.  The JSON is written in
+any case; the exit status is 1 if any run exited non-zero or did not
+report `correct` true, else 0.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 def summary(pairs: list[dict]) -> dict:
     out = {}
-    for name in pairs[0]["before"]["metrics"]:
+    runs = [pair[side] for pair in pairs for side in ("before", "after")]
+    for name in (n for n in runs[0]["metrics"] if all(n in run["metrics"] for run in runs)):
         b = [p["before"]["metrics"][name] for p in pairs]
         a = [p["after"]["metrics"][name] for p in pairs]
         sign = 1.0 if name in HIGHER_IS_BETTER else -1.0
@@ -89,7 +93,9 @@ def main() -> int:
     }
     json.dump(report, sys.stdout, indent=2)
     print()
-    return 0
+    failed = [p[side] for p in pairs for side in ("before", "after")
+              if p[side]["exit"] or p[side]["correct"] is not True]
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

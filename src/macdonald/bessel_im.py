@@ -133,13 +133,13 @@ def _phase_err(nu: float, log_half: float) -> float:
 
 
 def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, float]:
-    """e^{i psi} S = |Gamma(1 + i nu)| I_{i*nu_signed}(x), or an x-derivative, and its error.
+    """e^{i psi} S = |Gamma(1 + i nu)| I_{i*nu_signed}(x), or x I' or x^2 I'', and its error.
 
     psi = nu ln(x/2) - arg Gamma(1 + i nu); S = sum_k c_k (x/2)^{2k}, c_0 = 1,
-    c_k = c_{k-1} / (k (k + i nu)); differentiation multiplies the k-th term
-    by falling powers of m = 2k + i nu over x.  Callers scale by |Gamma(i nu)|
-    for K, so no factor of size e^{pi nu / 2} is formed.  deriv in {0, 1, 2};
-    each pass sums one derivative order with one stopping rule.
+    c_k = c_{k-1} / (k (k + i nu)); x d/dx multiplies the k-th term by
+    m = 2k + i nu, x^2 d^2/dx^2 by m (m - 1), so nothing divides by x.  Callers
+    scale by |Gamma(i nu)| for K, so no factor of size e^{pi nu / 2} is formed.
+    deriv in {0, 1, 2}; each pass sums one derivative order with one stopping rule.
     """
     mu = complex(0.0, nu_signed)  # the order i*nu
     half = 0.5 * x
@@ -159,7 +159,7 @@ def _i_series(nu_signed: float, x: float, deriv: int = 0) -> tuple[complex, floa
         term = c * powxk
         if deriv:
             m = 2.0 * k + mu
-            term *= m / x if deriv == 1 else m * (m - 1.0) / (x * x)
+            term *= m if deriv == 1 else m * (m - 1.0)
         total += term
         last_term_mag = abs(term)
         rounding += k * last_term_mag
@@ -198,7 +198,7 @@ def besseli_imag(nu: float, x: float, sign: int = +1) -> FunctionValue:
 
 
 def _k_series(nu: float, x: float, deriv: int = 0) -> tuple[float, float, float]:
-    """K (or derivative) via the combination (pi/2i)(I_{-i nu}-I_{i nu})/sinh(pi nu).
+    """K, x K' or x^2 K'' via the combination (pi/2i)(I_{-i nu}-I_{i nu})/sinh(pi nu).
 
     Returns (real value, error estimate, relative imaginary residue), for nu > 0.
     In _i_series' units it is (|Gamma(i nu)| / 2i)(S_- - S_+).
@@ -215,7 +215,7 @@ def _k_series(nu: float, x: float, deriv: int = 0) -> tuple[float, float, float]
 
 
 def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
-    """K (or derivative) from int_0^inf e^{-x cosh t} cos(nu t) dt.
+    """K, x K' or x^2 K'': (-x)^d int_0^inf e^{-x cosh t} cos(nu t) (cosh t)^d dt, d = deriv.
 
     Trapezoidal rule on [0, T] with e^{-x cosh T} <= 1e-20, which converges exponentially
     in the step size.  Each node is evaluated once: a doubling adds its odd nodes j T/n in
@@ -255,7 +255,8 @@ def _k_integral(nu: float, x: float, deriv: int = 0) -> tuple[float, float]:
         if stop:
             break
     tail = math.exp(-x * math.cosh(T)) / (x * math.sinh(T))
-    return (-prev if deriv == 1 else prev), last_change + tail + _EPS * abs(prev)
+    scale = (1.0, -x, x * x)[deriv]  # outside the nodes: the rule stops where the sums' rule does
+    return scale * prev, abs(scale) * (last_change + tail + _EPS * abs(prev))
 
 
 def _k_eval(
@@ -263,7 +264,7 @@ def _k_eval(
 ) -> tuple[list[tuple[float, float]], Method]:
     """Validate (nu, x), choose the path once, and evaluate K and derivatives.
 
-    Returns [(value, error) for each derivative order in `orders`] and
+    Returns [(value, error) for each derivative order in `orders`: K, x K', x^2 K''] and
     the method tag.  The series path is the I-combination for
     x <= _x_switch(nu), one I_{i nu} series pass per order and one |Gamma(i nu)|
     for all, with the bits of _k_series: the normalised series of I_{-+i nu}(x) are
@@ -271,7 +272,7 @@ def _k_eval(
     Im[e^{i psi} S], its error |Gamma(i nu)| (err + eps |e^{i psi} S|).  The integral
     representation serves larger x and always |nu| < _TINY (0 and the subnormal
     orders), where the combination is a 0/0 form: there cos(nu t) = 1, so the
-    value is K_0's bitwise.  A value that overflows (K' below x ~ 1e-308) raises RangeError.
+    value is K_0's bitwise.  An x^2 K'' that overflows (integral path, x < 1e-154) is refused.
     """
     nu = abs(_check_order(nu))  # K_{i nu} = K_{-i nu} structurally
     x = _check_abscissa(x)
@@ -289,7 +290,7 @@ def _k_eval(
         values, tag = [_k_integral(nu, x, d) for d in orders], "integral-representation"
     for v, _err in values:
         if not math.isfinite(v):
-            raise RangeError(f"K_(i nu)(x) or a derivative is not finite at nu = {nu:g}, x = {x!r}")
+            raise RangeError(f"K_(i nu)(x) or x^d K^(d) is not finite at nu = {nu:g}, x = {x!r}")
     return values, tag
 
 
@@ -448,24 +449,23 @@ def _k_values(nus: Sequence[float], x: np.ndarray) -> np.ndarray:
 def _k_dk_series(
     nu: np.ndarray, x: np.ndarray, dnu: bool = False, split: bool = False
 ) -> tuple[np.ndarray, ...]:
-    """K_{i nu}(x) and K'_{i nu}(x) elementwise over broadcast arrays nu and x, on the series path.
+    """K_{i nu}(x) and x K'_{i nu}(x) elementwise over broadcast arrays nu and x, series path.
 
     Orders _TINY <= nu <= NU_MAX (else DomainError), abscissae 0 < x <= _x_switch(nu),
     the series domain of _k_eval and _k_values (else RangeError).  The array
     form of _k_eval's series values, with the same normalisation:
-    K = -|Gamma(i nu)| Im[e^{i psi} S_0], K' = -|Gamma(i nu)| Im[e^{i psi} S_1],
+    K = -|Gamma(i nu)| Im[e^{i psi} S_0], x K' = -|Gamma(i nu)| Im[e^{i psi} x S_1],
     psi = nu ln(x/2) - arg Gamma(1 + i nu).  The terms c_k (x/2)^{2k} of S_0
     (c_0 = 1) are one cumulative product of (x/2)^2 / (k (k + i nu)) per point,
-    as many as _i_series sums at the smallest nu and the largest x; S_1
-    weights them by (2k + i nu)/x, and the 1/x comes last, so K' overflows
-    only where its value does (about x < 1e-308 at nu ~ 1), and then raises
-    RangeError.  Each sum runs along the last axis alone, so a point rounds
-    alike whether it is passed alone or in an array.  The rounding differs
-    from _i_series' running sums, so values agree with it to about its
-    error estimate, not bitwise.
-    With dnu, dK/dnu and dK'/dnu follow from the same terms, K and K' keeping their
+    as many as _i_series sums at the smallest nu and the largest x; x S_1
+    weights them by 2k + i nu.  Nothing divides by x, so both stay finite down to
+    the x = 5e-324 that _log_half refuses.  Each sum runs along the last axis alone,
+    so a point rounds alike whether it is passed alone or in an array.  The rounding
+    differs from _i_series' sums: values agree with it to about its estimate.
+    With dnu, dK/dnu and x dK'/dnu follow from the same terms, K and x K' keeping their
     bits: d c_k/dnu = c_k d_k, d_k = -i sum_{j<=k} 1/(j + i nu), psi' = ln(x/2) - Re
-    digamma(1 + i nu), d ln|Gamma(i nu)|/dnu = -1/(2 nu) - (pi/2) coth(pi nu).
+    digamma(1 + i nu), d ln|Gamma(i nu)|/dnu = -1/(2 nu) - (pi/2) coth(pi nu); they
+    overflow below nu ~ 1e-305, and RangeError follows.
     With split, K = K0 + dK and x K' = x K0' + x dK' in four parts instead: the k = 0 term,
     K0 = -|Gamma(i nu)| sin psi and x K0' = -nu |Gamma(i nu)| cos psi, and the rest, from
     T = S_0 - 1 and U + i nu T = x S_1 - i nu.  The rests, O(x^2), are summed as such and
@@ -503,28 +503,25 @@ def _k_dk_series(
     if split:  # K0, x K0', then dK and x dK' as K is formed from S_0 below
         rests = (rest, rest_x + mu * rest)  # conj T, conj (U + i nu T)
         return (-g * sin, -g * nu * cos, *(g * (cos * r.imag - sin * r.real) for r in rests))
-    with np.errstate(over="ignore", invalid="ignore"):  # a K' beyond the floats is refused below
-        # Im[e^{-i psi} conj S] in real arithmetic: numpy rounds a product of two complex
-        # scalars apart from the same product inside an array
-        k_val = g * (cos * s0.imag - sin * s0.real)
-        dk_val = g * (cos * xs1.imag - sin * xs1.real) / x
-        out = (k_val, dk_val)
-        if dnu:
-            # u, v: -i times the nu-derivatives of conj S_0, conj x S_1; conj d_k = i td_k / t_k
-            td = terms * np.cumsum(1.0 / (k + mu[..., None]), axis=-1)
-            u = td.sum(axis=-1)
-            v = (td * (2.0 * k)).sum(axis=-1) + mu * u - s0
-            dpsi = log_half - _re_digamma_one_plus_imag(nu)
-            b0, b1 = u - dpsi * s0, v - dpsi * xs1
-            dlog_g = -0.5 / nu - (0.5 * math.pi) / np.tanh(math.pi * nu)
-            # d/dnu Im[e^{-i psi} B] = Re[e^{-i psi} (dB/dnu - i dpsi B)]
-            out += (
-                dlog_g * k_val + g * (cos * b0.real + sin * b0.imag),
-                dlog_g * dk_val + g * (cos * b1.real + sin * b1.imag) / x,
-            )
-    if not all(np.isfinite(a).all() for a in out):
-        raise RangeError("K_(i nu)(x) or K' is not finite on the series path (x below ~1e-308)")
-    return out
+    # Im[e^{-i psi} conj S] in real arithmetic: numpy rounds a product of two complex
+    # scalars apart from the same product inside an array
+    k_val = g * (cos * s0.imag - sin * s0.real)
+    xdk_val = g * (cos * xs1.imag - sin * xs1.real)
+    if not dnu:
+        return k_val, xdk_val
+    # u, v: -i times the nu-derivatives of conj S_0, conj x S_1; conj d_k = i td_k / t_k
+    td = terms * np.cumsum(1.0 / (k + mu[..., None]), axis=-1)
+    u = td.sum(axis=-1)
+    v = (td * (2.0 * k)).sum(axis=-1) + mu * u - s0
+    dpsi = log_half - _re_digamma_one_plus_imag(nu)
+    b0, b1 = u - dpsi * s0, v - dpsi * xs1
+    dlog_g = -0.5 / nu - (0.5 * math.pi) / np.tanh(math.pi * nu)
+    # d/dnu Im[e^{-i psi} B] = Re[e^{-i psi} (dB/dnu - i dpsi B)]
+    k_nu = dlog_g * k_val + g * (cos * b0.real + sin * b0.imag)
+    xdk_nu = dlog_g * xdk_val + g * (cos * b1.real + sin * b1.imag)
+    if not (np.isfinite(k_nu).all() and np.isfinite(xdk_nu).all()):
+        raise RangeError("dK/dnu or x dK'/dnu is not finite (series path, orders below ~1e-305)")
+    return k_val, xdk_val, k_nu, xdk_nu
 
 
 def besselk_imag(
@@ -548,8 +545,11 @@ def besselk_dx(
     method: Literal["auto", "series", "integral"] = "auto",
 ) -> FunctionValue:
     """dK_{i nu}(x)/dx by termwise differentiation of the active representation."""
-    ((value, err),), tag = _k_eval(nu, x, method, orders=(1,))
-    return FunctionValue(value=value, abs_err_estimate=err, method=tag)
+    ((xdk, err),), tag = _k_eval(nu, x, method, orders=(1,))
+    x = float(x)  # checked by _k_eval; the package's one division of a derivative by x
+    if not abs(xdk / x) < math.inf:  # K' itself overflows, below x ~ 1e-308 at nu ~ 1
+        raise RangeError(f"K'_(i nu)(x) is not finite at nu = {nu:g}, x = {x!r}")
+    return FunctionValue(value=xdk / x, abs_err_estimate=err / x, method=tag)
 
 
 def combination_imag_residue(nu: float, x: float) -> float:
@@ -619,21 +619,21 @@ def smallx_error_envelope(nu: float, x: float, n_samples: int = 16) -> float:
 def ode_residual(nu: float, x: float, family: Literal["K", "I"] = "K") -> float:
     """Normalized residual of the self-adjoint modified Bessel equation.
 
-    For family "K": |x K'' + K' + (nu^2/x - x) K| / (|x K''| + |K'| + |(nu^2/x - x) K|),
+    For family "K": |x^2 K'' + x K' + (nu^2 - x^2) K| / (|x^2 K''| + |x K'| + |(nu^2 - x^2) K|),
     the residual over the summed magnitudes of the equation's three terms,
-    with all derivatives termwise.  At small x and nu the terms x K'' and
-    K' are each about 1/x and cancel, so a norm of the K term alone would
+    with the x-scaled derivatives termwise.  At small x and nu the terms x^2 K''
+    and x K' are each about 1 and cancel, so a norm of the K term alone would
     magnify their rounding.  For family "I" the same identity is checked
     for I_{i nu} (complex), normalized the same way.  RangeError outside its x range.
     """
     nu_s = abs(_check_order(nu))
     x = _check_abscissa(x)
     top = X_SERIES_MAX if family == "I" else 700.0  # K underflows, the I series loses its range
-    if not 1e-150 <= x <= top:  # below, 1/x^2 of the second derivatives nears the top of the floats
+    if not 1e-150 <= x <= top:  # below, x^2 K'' on the integral path overflows in (cosh t)^2
         raise RangeError(f"ode_residual supports 1e-150 <= x <= {top:g}, got {x!r}")
     if family == "I":
         f0, f1, f2 = (_i_series(nu_s, x, d)[0] for d in (0, 1, 2))
     else:
         (f0, _), (f1, _), (f2, _) = _k_eval(nu_s, x, orders=(0, 1, 2))[0]
-    terms = (x * f2, f1, (nu_s * nu_s / x - x) * f0)
+    terms = (f2, f1, (nu_s * nu_s - x * x) * f0)
     return abs(sum(terms)) / sum(map(abs, terms))

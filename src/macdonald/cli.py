@@ -24,6 +24,7 @@ from .gamma_core import abs_gamma_imag, arg_gamma_imag, log_gamma
 from .ortho_verify import (
     _DIAG_WINDOW,
     PairSpec,
+    QuadratureSpec,
     TestFunctionSpec,
     asymptotic_envelope,
     diagonal_limit,
@@ -156,9 +157,11 @@ def _cmd_identity_check(args) -> tuple[list[dict], bool]:
     for xi in sorted(args.xi):
         pair = PairSpec(args.nu, args.nu2, xi)
         b = kernel_boundary(pair)
-        q = kernel_quadrature(pair)
+        # the kernel's own scale: an absolute allowance of 1e-8 checks nothing at |K K'| ~ 1e-21
+        scale = abs_gamma_imag(pair.nu) * abs_gamma_imag(pair.nu_prime)
+        q = kernel_quadrature(pair, QuadratureSpec(abs_tol=1e-11 * scale))
         diff = abs(b.value - q.value)
-        allowed = args.tol + args.tol * abs(b.value)
+        allowed = args.tol * (scale + abs(b.value))
         rows.append(
             {
                 "nu": args.nu,
@@ -295,7 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--nu2", type=float, required=True)
     p.add_argument("--xi", type=_float_list, required=True)
-    p.add_argument("--tol", type=_finite, default=1e-8, help="agreement tolerance (default 1e-8)")
+    p.add_argument(
+        "--tol",
+        type=_finite,
+        default=1e-8,
+        help="agreement tolerance (default 1e-8): a row passes where |boundary - quadrature| "
+        "<= tol (s + |boundary|), s = |Gamma(i nu) Gamma(i nu2)|; the quadrature's absolute "
+        "tolerance is 1e-11 s",
+    )
     add_common(p)
     p.set_defaults(func=_cmd_identity_check)
 

@@ -17,6 +17,7 @@ from typing import Callable, Literal, Optional, Sequence
 from ._numpy import np
 from .bessel_im import (
     _EPS,
+    _X_ZERO,
     _check_order,
     _k_dk_series,
     _k_eval,
@@ -47,7 +48,7 @@ __all__ = [
 _DIAG_GUARD = 1.0e-8
 _DIAG_WINDOW = 1.0e-6
 # diagonal_limit's smallest order: its closed form holds the terms d ln|Gamma(i nu)|/dnu ~ -1/nu
-# of dK/dnu and dK'/dnu, which cancel in the Wronskian to about eps/nu^2 of the value
+# of dK/dnu and d(xi K')/dnu, which cancel in the Wronskian to about eps/nu^2 of the value
 _DIAG_NU_MIN = 1.0e-4
 _GK_LIMIT = 400  # bisections _gauss_kronrod may add to its first partition
 
@@ -170,12 +171,12 @@ class WeakLimitReport:
     reflected_term_bound: float
 
 
-def _wronskian_term(nu, nup, xi, k1, d1, k2, d2):
-    """-xi (K_{i nu} K'_{i nu'} - K_{i nu'} K'_{i nu}) / (nu^2 - nu'^2) from the values at xi.
+def _wronskian_term(nu, nup, k1, d1, k2, d2):
+    """-(K_{i nu} xi K'_{i nu'} - K_{i nu'} xi K'_{i nu}) / (nu^2 - nu'^2) from the values at xi.
 
-    Elementwise over arrays of nu', xi and the K values.
+    d1, d2 are the x-scaled xi K'; elementwise over arrays of nu' and the K values.
     """
-    return -xi * (k1 * d2 - k2 * d1) / (nu * nu - nup * nup)
+    return -(k1 * d2 - k2 * d1) / (nu * nu - nup * nup)
 
 
 def kernel_boundary(pair: PairSpec) -> KernelValue:
@@ -183,10 +184,10 @@ def kernel_boundary(pair: PairSpec) -> KernelValue:
 
     value = -xi [K_{i nu}(xi) K'_{i nu'}(xi) - K_{i nu'}(xi) K'_{i nu}(xi)]
             / (nu^2 - nu'^2)
-    Its estimate carries the four K and K' estimates through the products,
-    with 4 eps of each product for the roundings of the products and the difference.
-    Raises RangeError where that estimate is not finite (K' or an estimate
-    overflows at tiny orders and cutoffs).
+    From _k_eval's K and xi K', with no factor xi.  Its estimate carries their four
+    estimates through the products, with 4 eps of each product for the roundings of
+    the products and the difference.  Raises RangeError where that estimate is not
+    finite (an estimate overflows at tiny orders).
     """
     nu, nup, xi = pair.nu, pair.nu_prime, pair.xi
     if abs(nu - nup) < _DIAG_GUARD:  # refuse before any K is evaluated
@@ -195,9 +196,9 @@ def kernel_boundary(pair: PairSpec) -> KernelValue:
         )
     ((k1, e1), (d1, f1)), _tag = _k_eval(nu, xi)
     ((k2, e2), (d2, f2)), _tag = _k_eval(nup, xi)
-    value = _wronskian_term(nu, nup, xi, k1, d1, k2, d2)
+    value = _wronskian_term(nu, nup, k1, d1, k2, d2)
     products = abs(d2) * e1 + abs(k1) * f2 + abs(d1) * e2 + abs(k2) * f1
-    err = xi * (products + 4.0 * _EPS * (abs(k1 * d2) + abs(k2 * d1))) / abs(nu * nu - nup * nup)
+    err = (products + 4.0 * _EPS * (abs(k1 * d2) + abs(k2 * d1))) / abs(nu * nu - nup * nup)
     if not err < math.inf:  # nan too
         raise RangeError(
             f"boundary-term error estimate is not finite at nu = {nu:g}, nu' = {nup:g}, xi = {xi:g}"
@@ -339,9 +340,10 @@ def _quadrature_edges(xi: float, upper: float, omega: float) -> np.ndarray:
 def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -> KernelValue:
     """Adaptive quadrature of int_xi^U K_{i nu} K_{i nu'} / x dx plus tail bound.
 
-    One adaptive G7K15 run (_gauss_kronrod) in u = ln x over (ln xi, ln U):
-    dx/x = du, and in u the product oscillates at angular frequency at most
-    nu + nu' and, beyond x ~ 1, decays like e^{-2x} within a short stretch.
+    One adaptive G7K15 run (_gauss_kronrod) in u = ln x over (ln xi, ln U), U at most
+    746 where xi is below it (K is exactly 0 from there on): dx/x = du, and in u
+    the product oscillates at angular frequency at most nu + nu' and, beyond
+    x ~ 1, decays like e^{-2x} within a short stretch.
     The first partition (_quadrature_edges) has one panel per half-period
     pi / (nu + nu'), however many that is, an edge at x = 1 between the
     two regimes, and edges at x = e^-2, e^-1, 2, 4 and 8 on either side of
@@ -359,6 +361,8 @@ def kernel_quadrature(pair: PairSpec, quad: QuadratureSpec = QuadratureSpec()) -
     k_at = _k_sweeps((nu, nup), lambda switch: min(switch, upper))
     if upper <= xi:
         raise DomainError("upper cutoff must exceed xi")
+    if xi < _X_ZERO < upper:  # K is exactly 0 from x = 746 on, and so is the tail bound
+        upper = _X_ZERO
 
     def product(u: np.ndarray) -> np.ndarray:
         k = k_at(np.exp(u))
@@ -456,7 +460,8 @@ def delta_model(a: float, eta: float, f: Optional[Callable[[float], float]] = No
     """Delta-sequence kernel sin[a eta + f(eta)] / (pi eta).
 
     At eta = 0 returns the removable-singularity value (a + f'(0)) / pi,
-    with f'(0) by central difference at step 1e-6.  Raises DomainError
+    with f'(0) by central difference at step 1e-6; so too where eta, or with
+    no f the phase a eta, is subnormal and keeps too few bits.  Raises DomainError
     unless a and eta are finite and the phase a eta + f(eta) and the value
     are finite too.
     """
@@ -465,7 +470,7 @@ def delta_model(a: float, eta: float, f: Optional[Callable[[float], float]] = No
     a, eta = float(a), float(eta)
     if not abs(eta) < math.inf:  # nan too
         raise DomainError(f"eta = {eta!r} must be finite")
-    if eta == 0.0:
+    if abs(eta) < _TINY or (f is None and abs(a * eta) < _TINY):
         slope = 0.0 if f is None else (f(1.0e-6) - f(-1.0e-6)) / 2.0e-6
         value = (a + slope) / math.pi
     else:
@@ -479,7 +484,7 @@ def delta_model(a: float, eta: float, f: Optional[Callable[[float], float]] = No
 def diagonal_limit(nu: float, xi: float) -> float:
     """lim_{nu' -> nu} of the boundary-term kernel, i.e. int_xi^inf K_{i nu}^2 dx/x.
 
-    L'Hopital's rule gives xi (K dK'/dnu - K' dK/dnu) / (2 nu), all at xi, from one
+    L'Hopital's rule gives (K d(xi K')/dnu - xi K' dK/dnu) / (2 nu), all at xi, from one
     series call.  Within 1e-13 relative of 40-digit mpmath, or 4 eps kl_weight(nu) where
     that is larger: parts of size kl_weight(nu) ln(2/xi) / pi cancel to the value, far
     smaller at small nu or near xi = 2.  For xi <= 0.1: max(1e-13, 2 eps / nu^2) relative.
@@ -492,9 +497,9 @@ def diagonal_limit(nu: float, xi: float) -> float:
 
 
 def _diagonal(nu: float, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """diagonal_limit at each cutoff of the array xi, with K_{i nu}, K'_{i nu}: one series call."""
+    """diagonal_limit at each cutoff of the array xi, with K_{i nu} and xi K'_{i nu}: one call."""
     k, dk, k_nu, dk_nu = _k_dk_series(nu, xi, dnu=True)
-    return xi * (k * dk_nu - dk * k_nu) / (2.0 * nu), k, dk
+    return (k * dk_nu - dk * k_nu) / (2.0 * nu), k, dk
 
 
 def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> list[float]:
@@ -502,12 +507,12 @@ def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> l
     near-diagonal window replaced by the diagonal limit.
 
     One adaptive G7K15 over nu' for all cutoffs at once (_gauss_kronrod with
-    one component per cutoff).  Each sweep evaluates K and K' at every
+    one component per cutoff).  Each sweep evaluates K and xi K' at every
     cutoff for all its nodes in one series (bessel_im._k_dk_series), so the
     order phases arg Gamma(1 + i nu') are paid once per node, not once per
     cutoff.  The first sweep has about one panel per half-period of the
     kernel on each side of nu at the smallest cutoff, where the kernel
-    oscillates fastest.  K and K' at nu come from one series call for all
+    oscillates fastest.  K and xi K' at nu come from one series call for all
     cutoffs, the call with the nu-derivatives of the diagonal limit when nu
     lies within _DIAG_WINDOW of the support: only then can a node lie within
     the window, and every such node takes the diagonal limit.  Returns one
@@ -527,9 +532,9 @@ def _smeared_kernel(nu: float, xis: Sequence[float], phi: TestFunctionSpec) -> l
         k2, d2 = _k_dk_series(nup, xi)
         far = np.abs(nup - nu) >= _DIAG_WINDOW
         if far.all():  # as nodes almost always are
-            return _wronskian_term(nu, nup, xi, k1, d1, k2, d2) * phi(nup)
+            return _wronskian_term(nu, nup, k1, d1, k2, d2) * phi(nup)
         out = np.full(k2.shape, diag)
-        out[:, far] = _wronskian_term(nu, nup[far], xi, k1, d1, k2[:, far], d2[:, far])
+        out[:, far] = _wronskian_term(nu, nup[far], k1, d1, k2[:, far], d2[:, far])
         return out * phi(nup)
 
     _check_order(hi)  # nodes beyond NU_MAX are refused; refuse before laying their panels

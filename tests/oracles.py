@@ -179,7 +179,8 @@ ENVELOPE = {
 ENVELOPE_SMALL_ORDERS = {(0.01, 0.02, 1e-3): 8.834264502851563e-04}
 
 # kernel_boundary's estimate test pairs, from boundary_ref at 60 digits (80 digits agree
-# within 2e-59 relative): five on the integral path, four on the series path
+# within 2e-59 relative): five on the integral path, four on the series path, and three
+# at subnormal cutoffs, where K' is beyond the floats and xi K' is not
 BOUNDARY = {
     (10.0, 12.0, 20.0): 2.0390714628793139e-23,
     (12.0, 13.0, 40.0): 1.8324581923084636e-40,
@@ -190,6 +191,9 @@ BOUNDARY = {
     (0.7, 0.75, 1e-4): 3.9274285299919536,
     (2.3, 1.1, 1.5): 0.0021330717445221881,
     (5.0, 3.0, 3.0): 1.1473129097780285e-6,
+    (1.0, 1.5, 1e-310): -0.08911193525325274,
+    (0.3, 2.0, 1e-320): -0.028318059605322708,
+    (1.0, 2.0, 1e-310): -0.024037091289542352,
 }
 
 # diagonal_limit's test grid, from diagonal_ref at 40 digits
@@ -229,6 +233,7 @@ DIAGONAL = {
     (0.5, 0.1): 2.826621532839874,
     (0.5, 1.0): 0.04348186663121899,
     (0.5, 2.0): 0.0020935163393066775,
+    (1.0, 1e-310): 97.13589780436835,  # dK'/dnu is beyond the floats there
     (1.0, 1e-300): 94.0603945793194,
     (1.0, 1e-100): 31.39221230670554,
     (1.0, 1e-10): 3.219609131238627,

@@ -189,10 +189,11 @@ class TestScalarCore:
                 assert (d2k, d2k_err) == _k_series(nu, x, 2)[:2], (nu, x)
 
     def test_public_wrappers_share_the_core(self):
-        (k, k_err), (dk, dk_err) = _k_eval(1.3, 0.7)[0]
+        # the core returns x K'; besselk_dx divides it and its estimate by x
+        (k, k_err), (xdk, xdk_err) = _k_eval(1.3, 0.7)[0]
         fk, fdk = besselk_imag(1.3, 0.7), besselk_dx(1.3, 0.7)
         assert (fk.value, fk.abs_err_estimate) == (k, k_err)
-        assert (fdk.value, fdk.abs_err_estimate) == (dk, dk_err)
+        assert (fdk.value, fdk.abs_err_estimate) == (xdk / 0.7, xdk_err / 0.7)
         assert fk.method == fdk.method == "series-combination"
 
     def test_series_refused_beyond_its_range_for_both_orders(self):
@@ -202,7 +203,10 @@ class TestScalarCore:
 
 
 def full_grid_trapezoid(nu, x, deriv):
-    """_k_integral's rule with every doubling rebuilding and summing all n + 1 nodes at once."""
+    """_k_integral's rule with every doubling rebuilding and summing all n + 1 nodes at once.
+
+    Returns K, x K' or x^2 K'' as _k_integral does: the sums scaled by -x or x^2 after the rule.
+    """
     nu = abs(nu)
     T = math.acosh(max(46.0 / x, 1.5))
 
@@ -228,8 +232,8 @@ def full_grid_trapezoid(nu, x, deriv):
         if stop:
             break
     tail = math.exp(-x * math.cosh(T)) / (x * math.sinh(T))
-    sign = -1.0 if deriv == 1 else 1.0
-    return sign * prev, last_change + tail + math.ulp(1.0) * abs(prev)
+    scale = (1.0, -x, x * x)[deriv]
+    return scale * prev, abs(scale) * (last_change + tail + math.ulp(1.0) * abs(prev))
 
 
 def outcome(f, *args):
@@ -429,18 +433,18 @@ class TestArraySeries:
 
     @pytest.mark.parametrize("nu", [12.0, 20.0])
     def test_derivative_kept_where_representable(self, nu):
-        # |Gamma(i nu)| scales the sums before the 1/x of K' on both paths, so
-        # K' ~ 5e292 and 2.5e287 are returned here, though I' ~ e^{pi nu / 2} / x
-        # is beyond the floats.  At nu = 20, K
+        # |Gamma(i nu)| scales the sums of x K' on both paths, and besselk_dx divides
+        # by x last, so K' ~ 5e292 and 2.5e287 are returned here, though I' ~
+        # e^{pi nu / 2} / x is beyond the floats.  At nu = 20, K
         # sits near a zero (0.06 of its local amplitude), where the rounding of the
         # phase nu ln(x/2) ~ -13 830 alone is 1.6e-11 of K; the scalar estimate's
         # phase term (_phase_err) bounds it there
         x = 1e-300
-        k, dk = _k_dk_series(nu, x)
+        k, xdk = _k_dk_series(nu, x)
         k_ref, dk_ref = oracles.k_dk_besselk_ref(nu, x)
         amp = math.sqrt(k_ref**2 + (x * dk_ref) ** 2 / (nu * nu + x * x))
         assert abs(k - k_ref) <= max(1e-12 * abs(k_ref), _phase_err(nu, math.log(x / 2)) * amp)
-        assert abs(dk - dk_ref) <= 1e-12 * abs(dk_ref)
+        assert abs(xdk - x * dk_ref) <= 1e-12 * abs(x * dk_ref)
         assert abs(besselk_dx(nu, x).value - dk_ref) <= 1e-12 * abs(dk_ref)
 
     def test_a_point_rounds_alike_alone_and_in_an_array(self):
@@ -464,7 +468,7 @@ class TestArraySeries:
 
     def test_nu_derivatives_against_mpmath(self):
         # within 2e-13 of the amplitude |Gamma(i nu)| (1 + |ln(x/2)| + 1/nu) of dK/dnu, and that
-        # times (1 + nu + x)/x for dK'/dnu (measured: 3.4e-14 on 80 seeded points); near nu = 0
+        # times 1 + nu + x for x dK'/dnu (measured: 3.4e-14 on 80 seeded points); near nu = 0
         # dK/dnu is O(nu) but its parts are O(1/nu)
         rng = np.random.default_rng(5)
         with mp.workdps(40):
@@ -475,15 +479,25 @@ class TestArraySeries:
                 k = lambda n: mp.besselk(mp.mpc(0, n), x).real
                 dk = lambda n: -(mp.besselk(mp.mpc(-1, n), x) + mp.besselk(mp.mpc(1, n), x)).real / 2
                 amp = abs_gamma_imag(nu) * (1.0 + abs(math.log(x / 2.0)) + 1.0 / nu)
-                for value, ref, scale in zip(got, (mp.diff(k, nu), mp.diff(dk, nu)),
-                                             (amp, amp * (1.0 + nu + x) / x)):
+                for value, ref, scale in zip(got, (mp.diff(k, nu), x * mp.diff(dk, nu)),
+                                             (amp, amp * (1.0 + nu + x))):
                     assert abs(float(value) - ref) <= 2e-13 * scale, (nu, x)
 
-    @pytest.mark.parametrize("x", [2.5, 0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310])
+    @pytest.mark.parametrize("x", [2.5, 0.0, -1.0, math.nan, math.inf, 5e-324])
     def test_abscissa_out_of_range_rejected(self, x):
-        # 2.5: beyond the switch at nu = 1; 5e-324: x/2 underflows; 1e-310: K' overflows
+        # 2.5: beyond the switch at nu = 1; 5e-324: x/2 underflows
         with pytest.raises(RangeError):
             _k_dk_series(1.0, np.array([0.5, x]))
+
+    def test_subnormal_abscissa_within_the_scalar_estimate(self):
+        # K' ~ 1/x is beyond the floats at x = 1e-310, and x K' is not; refused while
+        # K' was formed first.  Measured: 0.09 and 0.16 of _k_eval's estimates
+        x = 1e-310
+        k, xdk = _k_dk_series(1.0, x)
+        k_ref, dk_ref = oracles.k_dk_besselk_ref(1.0, x, dps=60)
+        (_k, k_err), (_xdk, xdk_err) = _k_eval(1.0, x)[0]
+        assert abs(k - k_ref) <= k_err
+        assert abs(xdk - x * dk_ref) <= xdk_err
 
     def test_beyond_the_switch_rejected_elementwise(self):
         _k_dk_series(np.array([1.0, 10.0]), np.array([2.0, 10.0]))  # each at its own switch
@@ -513,11 +527,11 @@ class TestArraySeries:
             nu = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
             lo = 1e-300 if i % 2 else 1e-3
             x = math.exp(rng.uniform(math.log(lo), math.log(_x_switch(nu))))
-            k, dk = _k_dk_series(nu, x)
+            k, xdk = _k_dk_series(nu, x)
             k0, xk0, rest, x_rest = _k_dk_series(nu, x, split=True)
             g = abs_gamma_imag(nu)
             assert abs(k0 + rest - k) <= 4.0 * eps * g, (nu, x)
-            assert abs(xk0 + x_rest - x * dk) <= 4.0 * eps * g * (1.0 + nu), (nu, x)
+            assert abs(xk0 + x_rest - xdk) <= 4.0 * eps * g * (1.0 + nu), (nu, x)
 
 
 # orders on both sides of the switch, a pair whose switches differ (2 and 15), nu = 0 and a

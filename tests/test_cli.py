@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from macdonald import FunctionValue, TestFunctionSpec, besselk_imag, ortho_verify
+from macdonald import FunctionValue, TestFunctionSpec, abs_gamma_imag, besselk_imag, ortho_verify
 from macdonald.cli import build_parser, main
 
 SCHEMA = json.loads(
@@ -128,6 +128,15 @@ class TestIdentityCheck:
             ["identity-check", "--nu", "1", "--nu2", "2", "--xi", "1e-300"], capsys
         )
         assert code == 0 and doc["pass"] is True
+
+    def test_tolerances_on_the_kernel_scale(self, capsys):
+        # |Gamma(10 i) Gamma(20 i)| = 1.5e-21: an absolute 1e-8 passed a quadrature 64 % off
+        # the boundary term here; on the kernel's scale the quadrature cannot meet its tolerance
+        tiny = ["identity-check", "--nu", "10", "--nu2", "20", "--xi", "1e-300"]
+        assert run_cli(tiny, capsys)[0] == 2
+        code, doc = run_cli_json(["identity-check", "--nu", "1", "--nu2", "2", "--xi", "0.1"], capsys)
+        row, scale = doc["rows"][0], abs_gamma_imag(1.0) * abs_gamma_imag(2.0)
+        assert code == 0 and row["allowed"] == pytest.approx(1e-8 * (scale + abs(row["boundary"])))
 
 
 class TestOrthoScan:

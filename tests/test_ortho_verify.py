@@ -17,7 +17,6 @@ from macdonald import (
     TestFunctionSpec,
     arg_gamma_imag,
     asymptotic_envelope,
-    besselk_dx,
     besselk_imag,
     delta_model,
     diagonal_limit,
@@ -37,16 +36,12 @@ import sweep_reference
 
 
 def wronskian(nu, nup, xi):
-    """The boundary term and its error estimate from the public K and K' and their estimates."""
-    (k1, e1), (d1, f1), (k2, e2), (d2, f2) = (
-        (fv.value, fv.abs_err_estimate)
-        for order in (nu, nup)
-        for fv in (besselk_imag(order, xi), besselk_dx(order, xi))
-    )
+    """The boundary term and its error estimate from the core's K and xi K' and their estimates."""
+    ((k1, e1), (d1, f1)), ((k2, e2), (d2, f2)) = (bessel_im._k_eval(o, xi)[0] for o in (nu, nup))
     den = nu * nu - nup * nup
-    value = -xi * (k1 * d2 - k2 * d1) / den
+    value = -(k1 * d2 - k2 * d1) / den
     products = abs(d2) * e1 + abs(k1) * f2 + abs(d1) * e2 + abs(k2) * f1
-    err = xi * (products + 4.0 * sys.float_info.epsilon * (abs(k1 * d2) + abs(k2 * d1))) / abs(den)
+    err = (products + 4.0 * sys.float_info.epsilon * (abs(k1 * d2) + abs(k2 * d1))) / abs(den)
     return value, err
 
 
@@ -221,6 +216,17 @@ class TestKernelQuadrature:
                 q = kernel_quadrature(pair).value
                 assert abs(b - q) <= 1e-8 + 1e-8 * abs(b), (nu, nup, xi)
 
+    def test_stops_where_k_is_zero(self):
+        # K is exactly 0 from x = 746 on: an upper cutoff beyond integrates to 746 (this one
+        # laid about 11 000 half-period panels over 707 units of ln x), and a cutoff from
+        # there on gives 0 with estimate 0, not a refusal of the clamped interval
+        pair = PairSpec(50.0, 0.3, 2.5)
+        far = kernel_quadrature(pair, QuadratureSpec(50.0, 2.5, 1e308))
+        assert far == kernel_quadrature(pair, QuadratureSpec(50.0, 2.5, 746.0))
+        for xi in (746.0, 800.0):
+            kv = kernel_quadrature(PairSpec(1.0, 2.0, xi), QuadratureSpec(upper=1e308))
+            assert (kv.value, kv.abs_err_estimate) == (0.0, 0.0)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.filterwarnings("ignore:.*roundoff error.*")
     def test_tight_budget_raises(self):
@@ -343,14 +349,13 @@ class TestQuadratureSetUpOncePerCall:
         assert calls["_series_run"] == calls["_arg_gamma_one_plus_imag"] == [0.2, 0.1]
 
     def test_no_overflow_warning_at_a_huge_cutoff(self):
-        # nodes up to x ~ 1e308, where x cosh t leaves the floats; all of them beyond
-        # x ~ 745.2 add exactly 0, as they did
+        # x cosh t leaves the floats at x ~ 1e308; every node beyond x ~ 745.2 adds exactly 0,
+        # so a cutoff beyond 746 integrates to 746, as the per-sweep set-up does there
         pair, spec = PairSpec(1.0, 2.0, 0.1), QuadratureSpec(upper=1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             kv = kernel_quadrature(pair, spec)
-        with np.errstate(over="ignore"):
-            ref = sweep_reference.per_sweep_quadrature(pair, spec)
+        ref = sweep_reference.per_sweep_quadrature(pair, QuadratureSpec(upper=746.0))
         assert (repr(kv.value), repr(kv.abs_err_estimate)) == (repr(ref.value), repr(ref.abs_err_estimate))
 
 
@@ -700,6 +705,11 @@ class TestDeltaModel:
     def test_removable_singularity(self):
         assert delta_model(2.0, 0.0) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
+    def test_subnormal_eta_takes_the_limit(self):
+        # a eta keeps a few bits at a subnormal eta (or phase): 0.3333 against 1/pi at 5e-324
+        for a, eta in [(1.0, 5e-324), (1.0, -5e-324), (1e-10, 1e-300)]:
+            assert delta_model(a, eta) == pytest.approx(a / math.pi, rel=1e-15), (a, eta)
+
     def test_unit_mass_via_sine_integral(self):
         a = 100.0
         v, _ = integrate.quad(
@@ -762,11 +772,11 @@ class TestDiagonalLimit:
             assert oracles.DIAGONAL[nu, xi] == float(oracles.diagonal_ref(nu, xi))
 
     def test_is_the_limit_of_one_series_call(self):
-        # L'Hopital on the boundary term: xi (K dK'/dnu - K' dK/dnu) / (2 nu), all from
+        # L'Hopital on the boundary term: (K d(xi K')/dnu - xi K' dK/dnu) / (2 nu), all from
         # one series call; nu = 50 is served too (nu + h once passed NU_MAX there)
         for nu, xi in [(1.0, 0.3), (0.4, 1e-6), (3.0, 2.0), (50.0, 1e-3)]:
-            k, dk, k_nu, dk_nu = bessel_im._k_dk_series(nu, np.array([xi]), dnu=True)
-            assert diagonal_limit(nu, xi) == float(xi * (k * dk_nu - dk * k_nu)[0] / (2.0 * nu))
+            k, xdk, k_nu, xdk_nu = bessel_im._k_dk_series(nu, np.array([xi]), dnu=True)
+            assert diagonal_limit(nu, xi) == float((k * xdk_nu - xdk * k_nu)[0] / (2.0 * nu))
 
     @pytest.mark.parametrize(
         "nu, xi",
@@ -955,8 +965,8 @@ class TestWeakLimitRegression:
             (
                 1.3, 0.03, ("gaussian-bump", 1.25, 0.1),
                 "WeakLimitReport(nu=1.3, xi_sequence=(0.03,), a_sequence=(4.199705077879927,), "
-                "smeared_values=(0.05181390195300333,), target=0.11285049858982332, "
-                "errors=(0.06103659663681999,), reflected_term_bound=0.002613289893686266)",
+                "smeared_values=(0.05181390195300336,), target=0.11285049858982332, "
+                "errors=(0.06103659663681996,), reflected_term_bound=0.002613289893686266)",
             ),
             (  # nu outside the support of phi
                 0.8, 0.0021296280236068246, ("gaussian-bump", 0.7, 0.011),
@@ -972,6 +982,8 @@ class TestWeakLimitRegression:
         # shared quadrature does the same arithmetic.  The reflected bounds were
         # re-frozen in their last digits when their first partitions were graded
         # toward nu' = 0 and capped at phi's width; they are checked against scipy here.
+        # The first case's smeared value and error were re-frozen in their last digit
+        # when the kernel took xi K' from the core in place of xi times K'.
         report = weak_limit_test(nu, [xi], TestFunctionSpec(*phi))
         assert repr(report) == frozen
         reference = reflected_reference(nu, xi, TestFunctionSpec(*phi))
@@ -1023,18 +1035,30 @@ class TestWeakLimitRegression:
         assert integrands[0](nodes)[0].tolist() == (diagonal_limit(nu, xi) * phi(nodes)).tolist()
 
     def test_no_derivative_call_far_off_the_support(self):
-        # the nu-derivatives of K' overflow at xi = 1e-306; nu lies far outside the support
+        # nu lies far outside the support, so no node takes the diagonal limit
         phi = TestFunctionSpec("gaussian-bump", 3.0, 0.2)
         rep = weak_limit_test(1.0, [1e-306], phi)
         assert all(math.isfinite(v) for v in rep.smeared_values)
 
-    def test_subnormal_cutoff_refused(self):
-        # K' overflows at xi = 1e-310; the scalar route returned nan here
+    def test_errors_fall_down_to_a_tiny_cutoff(self):
+        # dK'/dnu overflows at xi = 1e-306, and xi dK'/dnu does not: refused while the
+        # diagonal limit took xi times dK'/dnu.  Measured: 0.047, then 8.4e-8
+        rep = weak_limit_test(1.0, [1e-3, 1e-306], TestFunctionSpec("gaussian-bump", 1.0, 0.2))
+        assert 0.0 <= rep.errors[1] <= 1e-6 < rep.errors[0]
+
+    def test_subnormal_cutoff_kept(self):
+        # K' ~ 1/xi overflows at xi = 1e-310 and xi K' does not: refused while the kernels
+        # formed K' first.  x/2 = 0 at xi = 5e-324 is still refused
+        pair = PairSpec(1.0, 2.0, 1e-310)
+        kv = kernel_boundary(pair)
+        ref = oracles.BOUNDARY[pair.nu, pair.nu_prime, pair.xi]
+        assert abs(kv.value - ref) <= kv.abs_err_estimate
         phi = TestFunctionSpec("gaussian-bump", 1.0, 0.1)
+        assert all(math.isfinite(v) for v in weak_limit_test(1.0, [1e-310], phi).errors)
         with pytest.raises(RangeError):
-            weak_limit_test(1.0, [1e-310], phi)
+            kernel_boundary(PairSpec(1.0, 2.0, 5e-324))
         with pytest.raises(RangeError):
-            kernel_boundary(PairSpec(1.0, 2.0, 1e-310))
+            weak_limit_test(1.0, [5e-324], phi)
 
 
 class TestEnvelopeAtTinyCutoff:
